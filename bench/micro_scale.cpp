@@ -13,8 +13,9 @@
 //     exact pattern whose garbage the lazy design accumulated.
 //
 //  2. Cell sweep — full redbelly simulations at increasing node counts,
-//     reporting events/s, committed tx/s and peak RSS. Durations shrink
-//     with n so the 1000-node cell stays a bench, not a soak.
+//     reporting events/s, committed tx/s and each cell's own peak RSS.
+//     Durations shrink with n so the 1000-node cell stays a bench, not a
+//     soak.
 //
 // Environment:
 //   STABL_SCALE_MAX_N     cap the sweep (CI smoke uses 64; default 1000)
@@ -24,6 +25,7 @@
 //                         exit 1 if pooled-queue events/s regresses >10%
 //                         (or the legacy-vs-pooled speedup >30%) at any
 //                         node count both files cover
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -212,10 +214,33 @@ struct CellResult {
   double peak_rss_mb = 0.0;
 };
 
+// Per-cell peak RSS: the process-wide ru_maxrss never falls, so after the
+// queue layer every cell would report the churn run's high-water mark.
+// Writing 5 to /proc/self/clear_refs resets VmHWM to the current RSS
+// (Linux); the cell's peak is VmHWM after it ran. malloc_trim() first
+// hands the heap the churn layer and earlier cells freed back to the OS,
+// so the current RSS the reset starts from is the live footprint only.
+void reset_peak_rss() {
+  malloc_trim(0);
+  if (std::FILE* refs = std::fopen("/proc/self/clear_refs", "w")) {
+    std::fputs("5", refs);
+    std::fclose(refs);
+  }
+}
+
 double peak_rss_mb() {
+  if (std::FILE* status = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long kib = -1;
+    while (std::fgets(line, sizeof line, status) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %ld kB", &kib) == 1) break;
+    }
+    std::fclose(status);
+    if (kib >= 0) return static_cast<double>(kib) / 1024.0;
+  }
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // no procfs
 }
 
 CellResult run_cell(std::size_t n, long sim_s) {
@@ -226,6 +251,7 @@ CellResult run_cell(std::size_t n, long sim_s) {
   config.clients = 4;
   config.seed = 42;
   config.duration = sim::sec(sim_s);
+  reset_peak_rss();
   core::WallTimer timer;
   const core::ExperimentResult result = core::run_experiment(config);
   const double wall_s = timer.elapsed_ms() / 1e3;

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "chain/registry.hpp"
 #include "chain/vrf.hpp"
 
 namespace stabl::algorand {
-namespace {
 
 struct ProposalPayload final : net::Payload {
   ProposalPayload(std::uint64_t r, net::NodeId p,
@@ -19,6 +19,8 @@ struct ProposalPayload final : net::Payload {
   net::NodeId proposer;
   std::vector<chain::Transaction> txs;
 };
+
+namespace {
 
 enum class VoteStep : std::uint8_t { kSoft, kCert };
 
@@ -66,7 +68,9 @@ AlgorandNode::AlgorandNode(sim::Simulation& simulation, net::Network& network,
                      }()),
       config_(config),
       anchor_(std::move(anchor)),
-      is_relay_(is_relay) {}
+      is_relay_(is_relay),
+      soft_votes_(cluster_size()),
+      cert_votes_(cluster_size()) {}
 
 std::size_t AlgorandNode::vote_quorum() const {
   // Strictly more than the threshold fraction of total stake must vote:
@@ -94,7 +98,7 @@ void AlgorandNode::reset_round_state() {
   cert_voted_ = false;
   grace_used_ = false;
   proposal_value_ = kEmptyValue;
-  proposal_txs_.clear();
+  proposal_.reset();
   soft_votes_.clear();
   cert_votes_.clear();
   own_soft_vote_.reset();
@@ -116,7 +120,7 @@ void AlgorandNode::begin_round() {
   cert_voted_ = false;
   grace_used_ = false;
   proposal_value_ = kEmptyValue;
-  proposal_txs_.clear();
+  proposal_.reset();
   soft_votes_.clear();
   cert_votes_.clear();
   own_soft_vote_.reset();
@@ -127,11 +131,10 @@ void AlgorandNode::begin_round() {
   // A proposal that arrived while we were finishing the previous round.
   const auto buffered = future_proposals_.find(round_);
   if (buffered != future_proposals_.end()) {
-    const auto& proposal =
-        static_cast<const ProposalPayload&>(*buffered->second);
     if (proposal_value_ == kEmptyValue) {
-      proposal_value_ = proposal.proposer;
-      proposal_txs_ = proposal.txs;
+      proposal_ =
+          std::static_pointer_cast<const ProposalPayload>(buffered->second);
+      proposal_value_ = proposal_->proposer;
       seen_proposal_ = buffered->second;
     }
   }
@@ -155,7 +158,7 @@ void AlgorandNode::propose_if_selected() {
                                                          std::move(batch));
   mark_proposed(payload->txs, round_);
   proposal_value_ = node_id();
-  proposal_txs_ = payload->txs;
+  proposal_ = payload;
   own_proposal_ = payload;
   broadcast(own_proposal_, batch_bytes(payload->txs.size()));
 }
@@ -171,7 +174,7 @@ void AlgorandNode::cast_soft_vote() {
     own_soft_vote_ =
         std::make_shared<const VotePayload>(round_, VoteStep::kSoft,
                                             node_id(), value);
-    soft_votes_[node_id()] = value;
+    soft_votes_.assign(node_id(), value);
     broadcast(own_soft_vote_, 96);
     tally_soft_votes();
     return;
@@ -191,7 +194,7 @@ void AlgorandNode::cast_soft_vote() {
   auto vote = std::make_shared<const VotePayload>(
       round_, VoteStep::kSoft, node_id(), proposal_value_);
   own_soft_vote_ = vote;
-  soft_votes_[node_id()] = proposal_value_;
+  soft_votes_.assign(node_id(), proposal_value_);
   broadcast(own_soft_vote_, 96);
   tally_soft_votes();
 }
@@ -206,44 +209,46 @@ void AlgorandNode::tally_soft_votes() {
     own_cert_vote_ =
         std::make_shared<const VotePayload>(round_, VoteStep::kCert,
                                             node_id(), value);
-    cert_votes_[node_id()] = value;
+    cert_votes_.assign(node_id(), value);
     broadcast(own_cert_vote_, 96);
     tally_cert_votes();
     return;
   }
-  std::map<net::NodeId, std::size_t> counts;
-  for (const auto& [voter, value] : soft_votes_) ++counts[value];
-  for (const auto& [value, count] : counts) {
-    if (count < vote_quorum()) continue;
-    cert_voted_ = true;
-    auto& record = persisted_votes_[round_];
-    record.has_cert = true;
-    record.cert_value = value;
-    auto vote =
-        std::make_shared<const VotePayload>(round_, VoteStep::kCert,
-                                            node_id(), value);
-    own_cert_vote_ = vote;
-    cert_votes_[node_id()] = value;
-    broadcast(own_cert_vote_, 96);
-    tally_cert_votes();
-    return;
-  }
+  const std::optional<net::NodeId> value = quorum_value(soft_votes_);
+  if (!value) return;
+  cert_voted_ = true;
+  auto& record = persisted_votes_[round_];
+  record.has_cert = true;
+  record.cert_value = *value;
+  own_cert_vote_ = std::make_shared<const VotePayload>(
+      round_, VoteStep::kCert, node_id(), *value);
+  cert_votes_.assign(node_id(), *value);
+  broadcast(own_cert_vote_, 96);
+  tally_cert_votes();
 }
 
 void AlgorandNode::tally_cert_votes() {
-  std::map<net::NodeId, std::size_t> counts;
-  for (const auto& [voter, value] : cert_votes_) ++counts[value];
-  for (const auto& [value, count] : counts) {
-    if (count < vote_quorum()) continue;
-    if (value != kEmptyValue && proposal_value_ != value &&
-        anchor_->get(round_) == nullptr) {
-      // Certified a proposal whose content we have not received yet; wait
-      // for the proposer's (re-)broadcast. Votes keep accumulating.
-      return;
-    }
-    commit_value(value);
+  const std::optional<net::NodeId> value = quorum_value(cert_votes_);
+  if (!value) return;
+  if (*value != kEmptyValue && proposal_value_ != *value &&
+      anchor_->get(round_) == nullptr) {
+    // Certified a proposal whose content we have not received yet; wait
+    // for the proposer's (re-)broadcast. Votes keep accumulating.
     return;
   }
+  commit_value(*value);
+}
+
+std::optional<net::NodeId> AlgorandNode::quorum_value(
+    const chain::QuorumSet<net::NodeId>& votes) const {
+  // Fewer voters than a quorum cannot certify any value: skip the tally.
+  if (votes.size() < vote_quorum()) return std::nullopt;
+  std::map<net::NodeId, std::size_t> counts;
+  for (const net::NodeId voter : votes) ++counts[votes.at(voter)];
+  for (const auto& [value, count] : counts) {
+    if (count >= vote_quorum()) return value;
+  }
+  return std::nullopt;
 }
 
 void AlgorandNode::commit_value(net::NodeId value) {
@@ -251,7 +256,9 @@ void AlgorandNode::commit_value(net::NodeId value) {
   // value wins; any later certification of the other value adopts it.
   CertAnchor::Decision candidate;
   candidate.value = value;
-  if (value != kEmptyValue) candidate.txs = proposal_txs_;
+  if (value != kEmptyValue && proposal_ != nullptr) {
+    candidate.txs = proposal_->txs;
+  }
   const CertAnchor::Decision& decision =
       anchor_->decide(round_, std::move(candidate));
   if (decision.value == kEmptyValue) {
@@ -300,8 +307,9 @@ void AlgorandNode::on_app_message(const net::Envelope& envelope) {
       return;
     }
     if (proposal->round != round_) return;
-    if (proposal_value_ == proposal->proposer && !proposal_txs_.empty() &&
-        proposal->txs.size() != proposal_txs_.size()) {
+    if (proposal_value_ == proposal->proposer && proposal_ != nullptr &&
+        !proposal_->txs.empty() &&
+        proposal->txs.size() != proposal_->txs.size()) {
       // Two different batches under the same (round, proposer): a
       // double-propose. The first batch stays adopted (and the CertAnchor
       // pins whichever content certifies first, so agreement holds); the
@@ -312,7 +320,8 @@ void AlgorandNode::on_app_message(const net::Envelope& envelope) {
     if (proposal_value_ == kEmptyValue ||
         proposal_value_ == proposal->proposer) {
       proposal_value_ = proposal->proposer;
-      proposal_txs_ = proposal->txs;
+      proposal_ =
+          std::static_pointer_cast<const ProposalPayload>(envelope.payload);
       seen_proposal_ = envelope.payload;
       // If certification already happened and only the content was
       // missing, complete the commit now.
@@ -336,21 +345,21 @@ void AlgorandNode::on_app_message(const net::Envelope& envelope) {
       // Double-vote evidence: switching soft votes *from the empty value*
       // to a proposal is legitimate BA* recovery (see rebroadcast());
       // switching away from a non-empty value is not.
-      const auto known = soft_votes_.find(vote->voter);
-      if (known != soft_votes_.end() && known->second != kEmptyValue &&
-          known->second != vote->value) {
+      const net::NodeId* known = soft_votes_.find(vote->voter);
+      if (known != nullptr && *known != kEmptyValue &&
+          *known != vote->value) {
         report_misbehavior(vote->voter, core::Offense::kEquivocation);
       }
-      soft_votes_[vote->voter] = vote->value;
+      soft_votes_.assign(vote->voter, vote->value);
       tally_soft_votes();
     } else {
       // Cert votes are cast at most once per round (persisted to disk
       // before sending); any conflicting pair is equivocation.
-      const auto known = cert_votes_.find(vote->voter);
-      if (known != cert_votes_.end() && known->second != vote->value) {
+      const net::NodeId* known = cert_votes_.find(vote->voter);
+      if (known != nullptr && *known != vote->value) {
         report_misbehavior(vote->voter, core::Offense::kEquivocation);
       }
-      cert_votes_[vote->voter] = vote->value;
+      cert_votes_.assign(vote->voter, vote->value);
       tally_cert_votes();
     }
     return;
@@ -439,12 +448,13 @@ void AlgorandNode::rebroadcast() {
   // proposal so the round can still certify. Votes are last-write-wins
   // per voter, and cert votes are cast at most once per round, so two
   // conflicting certified values would need 2*quorum > n distinct nodes.
-  if (soft_voted_ && proposal_value_ != kEmptyValue &&
-      soft_votes_[node_id()] == kEmptyValue) {
+  const net::NodeId* own_soft = soft_votes_.find(node_id());
+  if (soft_voted_ && proposal_value_ != kEmptyValue && own_soft != nullptr &&
+      *own_soft == kEmptyValue) {
     auto vote = std::make_shared<const VotePayload>(
         round_, VoteStep::kSoft, node_id(), proposal_value_);
     own_soft_vote_ = vote;
-    soft_votes_[node_id()] = proposal_value_;
+    soft_votes_.assign(node_id(), proposal_value_);
     auto& record = persisted_votes_[round_];
     record.has_soft = true;
     record.soft_value = proposal_value_;

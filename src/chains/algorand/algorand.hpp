@@ -31,12 +31,16 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "chain/node.hpp"
+#include "chain/quorum.hpp"
 
 namespace stabl::algorand {
+
+struct ProposalPayload;
 
 /// Canonical value committed per round, shared by the cluster.
 ///
@@ -135,6 +139,9 @@ class AlgorandNode final : public chain::BlockchainNode {
   void reset_round_state();
   void rebroadcast();
   [[nodiscard]] std::size_t vote_quorum() const;
+  /// The lowest value at least vote_quorum() voters voted for, if any.
+  [[nodiscard]] std::optional<net::NodeId> quorum_value(
+      const chain::QuorumSet<net::NodeId>& votes) const;
 
   AlgorandConfig config_;
   std::shared_ptr<CertAnchor> anchor_;
@@ -150,9 +157,10 @@ class AlgorandNode final : public chain::BlockchainNode {
   bool cert_voted_ = false;
   bool grace_used_ = false;
   net::NodeId proposal_value_ = kEmptyValue;  // proposer we saw
-  std::vector<chain::Transaction> proposal_txs_;
-  std::map<net::NodeId, net::NodeId> soft_votes_;  // voter -> value
-  std::map<net::NodeId, net::NodeId> cert_votes_;
+  /// Content of the adopted proposal (null while none is adopted).
+  std::shared_ptr<const ProposalPayload> proposal_;
+  chain::QuorumSet<net::NodeId> soft_votes_;  // voter -> value
+  chain::QuorumSet<net::NodeId> cert_votes_;
   net::PayloadPtr own_soft_vote_;
   net::PayloadPtr own_cert_vote_;
   net::PayloadPtr own_proposal_;

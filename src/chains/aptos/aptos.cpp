@@ -10,19 +10,6 @@
 namespace stabl::aptos {
 namespace {
 
-struct ProposalPayload final : net::Payload {
-  ProposalPayload(std::uint64_t r, net::NodeId l, std::int64_t parent,
-                  std::vector<chain::Transaction> batch)
-      : round(r), leader(l), parent_round(parent), txs(std::move(batch)) {}
-  std::uint64_t round;
-  net::NodeId leader;
-  /// Round of the committed block the leader extends (-1 = genesis).
-  /// Carries the HotStuff parent-QC linkage: voters must have replayed
-  /// exactly this chain, so committed prefixes stay identical.
-  std::int64_t parent_round;
-  std::vector<chain::Transaction> txs;
-};
-
 /// Content identity of a proposal batch — what a vote's digest binds to.
 std::uint64_t batch_digest(const std::vector<chain::Transaction>& txs) {
   std::uint64_t digest = 0x4150'544F'53ull;  // "APTOS"
@@ -31,6 +18,29 @@ std::uint64_t batch_digest(const std::vector<chain::Transaction>& txs) {
   }
   return digest;
 }
+
+}  // namespace
+
+struct ProposalPayload final : net::Payload {
+  ProposalPayload(std::uint64_t r, net::NodeId l, std::int64_t parent,
+                  std::vector<chain::Transaction> batch)
+      : round(r),
+        leader(l),
+        parent_round(parent),
+        txs(std::move(batch)),
+        digest(batch_digest(txs)) {}
+  std::uint64_t round;
+  net::NodeId leader;
+  /// Round of the committed block the leader extends (-1 = genesis).
+  /// Carries the HotStuff parent-QC linkage: voters must have replayed
+  /// exactly this chain, so committed prefixes stay identical.
+  std::int64_t parent_round;
+  std::vector<chain::Transaction> txs;
+  /// batch_digest(txs), computed once by the sender for every receiver.
+  std::uint64_t digest;
+};
+
+namespace {
 
 struct VotePayload final : net::Payload {
   VotePayload(std::uint64_t r, net::NodeId l, std::uint64_t d)
@@ -74,7 +84,9 @@ AptosNode::AptosNode(sim::Simulation& simulation, net::Network& network,
                            config.restart_boot_delay;
                        return node_config;
                      }()),
-      config_(config) {}
+      config_(config),
+      votes_(cluster_size()),
+      timeouts_(cluster_size()) {}
 
 void AptosNode::start_protocol() {
   // Resume from the round after the last committed block we know of.
@@ -88,12 +100,9 @@ void AptosNode::stop_protocol() {
   round_ = 0;
   voted_ = false;
   committing_ = false;
-  have_proposal_ = false;
-  proposal_parent_ = -1;
+  proposal_.reset();
   lock_parent_ = -1;
   lock_round_ = 0;
-  proposal_txs_.clear();
-  proposal_digest_ = 0;
   votes_.clear();
   timeouts_.clear();
   consecutive_fails_.clear();
@@ -130,12 +139,9 @@ void AptosNode::enter_round(std::uint64_t round) {
   round_ = round;
   voted_ = false;
   committing_ = false;
-  have_proposal_ = false;
-  proposal_txs_.clear();
-  proposal_digest_ = 0;
+  proposal_.reset();
   votes_.clear();
   timeouts_.clear();
-  proposal_parent_ = -1;
   reset_timer(round_timer_, config_.round_timeout,
               [this] { on_round_timeout(); });
   cancel_timer(propose_timer_);
@@ -162,17 +168,13 @@ void AptosNode::propose() {
   mark_proposed(payload->txs, round_);
   broadcast(payload, batch_bytes(payload->txs.size()));
   // The leader processes its own proposal too.
-  proposal_leader_ = node_id();
-  have_proposal_ = true;
-  proposal_parent_ = parent;
-  proposal_txs_ = payload->txs;
-  proposal_digest_ = batch_digest(proposal_txs_);
+  proposal_ = payload;
   voted_ = true;
   lock_parent_ = parent;
   lock_round_ = round_;
-  votes_[node_id()] = {node_id(), proposal_digest_};
+  votes_.assign(node_id(), {node_id(), payload->digest});
   broadcast(std::make_shared<const VotePayload>(round_, node_id(),
-                                                proposal_digest_),
+                                                payload->digest),
             96);
   try_commit();
 }
@@ -187,8 +189,8 @@ void AptosNode::on_round_timeout() {
   // retries consensus messages): one lost vote packet must not split the
   // cluster between committing the round and timing it out.
   if (voted_) {
-    broadcast(std::make_shared<const VotePayload>(round_, proposal_leader_,
-                                                  proposal_digest_),
+    broadcast(std::make_shared<const VotePayload>(round_, proposal_->leader,
+                                                  proposal_->digest),
               96);
   }
   // Pacemaker: shout that the round is stuck; re-arm so the timeout keeps
@@ -198,15 +200,16 @@ void AptosNode::on_round_timeout() {
   round_timer_ = set_timer(config_.round_timeout, [this] {
     on_round_timeout();
   });
-  if (timeouts_.size() >= cluster_size() - (cluster_size() - 1) / 3) {
+  if (timeouts_.has_quorum()) {
     record_round_outcome(round_, /*success=*/false);
     enter_round(round_ + 1);
   }
 }
 
 void AptosNode::maybe_vote() {
-  if (!have_proposal_ || voted_) return;
-  if (proposal_parent_ != tip_round()) return;  // cannot extend this chain
+  if (proposal_ == nullptr || voted_) return;
+  const std::int64_t parent = proposal_->parent_round;
+  if (parent != tip_round()) return;  // cannot extend this chain
   // Sibling lockout: having voted for a proposal extending parent p, do
   // not endorse another proposal extending the same p for a few rounds. A
   // round that committed anywhere had a quorum of voters, so a quorum is
@@ -214,39 +217,42 @@ void AptosNode::maybe_vote() {
   // the time the commit certificate needs to reach the laggards. The lock
   // expires (liveness: the voted round may genuinely have died), and is
   // irrelevant once the tip moves past p.
-  if (lock_parent_ >= 0 && proposal_parent_ == lock_parent_ &&
-      round_ > lock_round_ &&
+  if (lock_parent_ >= 0 && parent == lock_parent_ && round_ > lock_round_ &&
       round_ <= lock_round_ + static_cast<std::uint64_t>(
                                   config_.sibling_lockout_rounds)) {
     return;
   }
   voted_ = true;
-  lock_parent_ = proposal_parent_;
+  lock_parent_ = parent;
   lock_round_ = round_;
-  votes_[node_id()] = {proposal_leader_, proposal_digest_};
-  broadcast(std::make_shared<const VotePayload>(round_, proposal_leader_,
-                                                proposal_digest_),
+  votes_.assign(node_id(), {proposal_->leader, proposal_->digest});
+  broadcast(std::make_shared<const VotePayload>(round_, proposal_->leader,
+                                                proposal_->digest),
             96);
 }
 
 void AptosNode::try_commit() {
-  if (committing_ || !have_proposal_) return;
+  if (committing_ || proposal_ == nullptr) return;
+  // Fewer voters than a quorum cannot certify anything: skip the walk.
+  if (!votes_.has_quorum()) return;
   std::size_t count = 0;
-  for (const auto& [voter, vote] : votes_) {
-    if (vote.leader != proposal_leader_) continue;
+  for (const net::NodeId voter : votes_) {
+    const VoteInfo& vote = votes_.at(voter);
+    if (vote.leader != proposal_->leader) continue;
     // Defense on: content-bound counting — only votes matching the
     // proposal we hold certify it, so an equivocated round times out on
     // both variants instead of forking.
-    if (misbehavior().enabled() && vote.digest != proposal_digest_) continue;
+    if (misbehavior().enabled() && vote.digest != proposal_->digest) continue;
     ++count;
   }
-  const std::size_t quorum = cluster_size() - (cluster_size() - 1) / 3;
-  if (count < quorum) return;
-  if (proposal_parent_ != tip_round()) {
+  if (count < votes_.quorum()) return;
+  if (proposal_->parent_round != tip_round()) {
     // A quorum certified a proposal we cannot replay: the voters extend
     // blocks this replica is missing. Repair the ledger first; on_synced
     // retries the commit.
-    if (proposal_parent_ > tip_round()) request_sync(proposal_leader_);
+    if (proposal_->parent_round > tip_round()) {
+      request_sync(proposal_->leader);
+    }
     return;
   }
   committing_ = true;
@@ -268,7 +274,7 @@ void AptosNode::try_commit() {
   // statically known dependencies and add nothing — only the shared key
   // (chain::kHotKey) pays, so default workloads see a zero here.
   std::size_t hot_txs = 0;
-  for (const chain::Transaction& tx : proposal_txs_) {
+  for (const chain::Transaction& tx : proposal_->txs) {
     if (tx.from == chain::kHotKey) ++hot_txs;
   }
   const std::size_t conflicts = hot_txs > 1 ? hot_txs - 1 : 0;
@@ -279,15 +285,13 @@ void AptosNode::try_commit() {
                       sim::Duration{config_.per_tx_exec.count() *
                                     static_cast<std::int64_t>(
                                         std::max<std::size_t>(
-                                            proposal_txs_.size(), 1))};
+                                            proposal_->txs.size(), 1))};
   const auto cost = sim::Duration{static_cast<std::int64_t>(
       static_cast<double>(serial.count()) * 4.0 / cpu().cores())};
   const std::uint64_t round = round_;
-  auto txs = proposal_txs_;
-  const net::NodeId leader = proposal_leader_;
-  mutable_cpu().submit(cost, [this, round, txs = std::move(txs), leader] {
+  mutable_cpu().submit(cost, [this, round, proposal = proposal_] {
     if (round != round_ || !committing_) return;  // round moved on
-    commit_block(txs, leader, round);
+    commit_block(proposal->txs, proposal->leader, round);
     record_round_outcome(round, /*success=*/true);
     // A contested commit (someone timed out of this round) must be
     // announced: the replicas that timed out will otherwise certify a
@@ -336,20 +340,17 @@ void AptosNode::on_app_message(const net::Envelope& envelope) {
     if (proposal->round > round_) {
       jump_to_round(proposal->round, envelope.from);
     }
-    if (have_proposal_) {
+    if (proposal_ != nullptr) {
       // A second, different proposal for the same round from the leader we
       // already adopted is equivocation evidence against that leader.
-      if (proposal->leader == proposal_leader_ &&
-          batch_digest(proposal->txs) != proposal_digest_) {
+      if (proposal->leader == proposal_->leader &&
+          proposal->digest != proposal_->digest) {
         report_misbehavior(proposal->leader, core::Offense::kEquivocation);
       }
       return;  // adopt the first proposal for the round
     }
-    proposal_leader_ = proposal->leader;
-    have_proposal_ = true;
-    proposal_parent_ = proposal->parent_round;
-    proposal_txs_ = proposal->txs;
-    proposal_digest_ = batch_digest(proposal_txs_);
+    proposal_ =
+        std::static_pointer_cast<const ProposalPayload>(envelope.payload);
     if (proposal->parent_round > tip_round()) {
       // The leader extends blocks we never committed (we timed out of a
       // round the cluster decided, or rejoined late): repair before voting.
@@ -367,11 +368,11 @@ void AptosNode::on_app_message(const net::Envelope& envelope) {
     }
     // A vote binding the same round and leader to different content than
     // our proposal means that leader fed the cluster two variants.
-    if (have_proposal_ && vote->leader == proposal_leader_ &&
-        vote->digest != proposal_digest_) {
+    if (proposal_ != nullptr && vote->leader == proposal_->leader &&
+        vote->digest != proposal_->digest) {
       report_misbehavior(vote->leader, core::Offense::kEquivocation);
     }
-    votes_[envelope.from] = {vote->leader, vote->digest};
+    votes_.assign(envelope.from, {vote->leader, vote->digest});
     try_commit();
     return;
   }
@@ -390,8 +391,7 @@ void AptosNode::on_app_message(const net::Envelope& envelope) {
       return;
     }
     timeouts_.insert(envelope.from);
-    const std::size_t quorum = cluster_size() - (cluster_size() - 1) / 3;
-    if (timeouts_.size() >= quorum) {
+    if (timeouts_.has_quorum()) {
       record_round_outcome(round_, /*success=*/false);
       enter_round(round_ + 1);
     }

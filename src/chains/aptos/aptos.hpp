@@ -29,15 +29,17 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "chain/node.hpp"
+#include "chain/quorum.hpp"
 
 namespace stabl::aptos {
+
+struct ProposalPayload;
 
 struct AptosConfig {
   /// Leader pacing: delay between entering a round and proposing.
@@ -151,15 +153,14 @@ class AptosNode final : public chain::BlockchainNode {
   std::uint64_t round_ = 0;
   bool voted_ = false;
   bool committing_ = false;
-  net::NodeId proposal_leader_ = 0;
-  bool have_proposal_ = false;
-  std::int64_t proposal_parent_ = -1;
+  /// The round's adopted proposal as the leader sent it (null until one
+  /// arrives). Its leader, parent round and digest are the ones votes and
+  /// commits refer to.
+  std::shared_ptr<const ProposalPayload> proposal_;
   /// Sibling lockout: parent round and round of our last vote. Survives
   /// round changes (that is the point); cleared on restart.
   std::int64_t lock_parent_ = -1;
   std::uint64_t lock_round_ = 0;
-  std::vector<chain::Transaction> proposal_txs_;
-  std::uint64_t proposal_digest_ = 0;
   /// voter -> (leader voted for, content digest the voter claims). The
   /// quorum count is content-blind like DiemBFT's vote tally; with the
   /// misbehavior defense on, only digest-matching votes certify a block.
@@ -167,8 +168,8 @@ class AptosNode final : public chain::BlockchainNode {
     net::NodeId leader = 0;
     std::uint64_t digest = 0;
   };
-  std::map<net::NodeId, VoteInfo> votes_;
-  std::set<net::NodeId> timeouts_;               // round-timeout senders
+  chain::QuorumSet<VoteInfo> votes_;
+  chain::QuorumSet<> timeouts_;                  // round-timeout senders
   std::map<net::NodeId, int> consecutive_fails_; // leader reputation
   std::set<net::NodeId> excluded_;
   sim::TimerId round_timer_ = sim::kInvalidTimer;

@@ -10,22 +10,6 @@
 namespace stabl::redbelly {
 namespace {
 
-struct ProposalPayload final : net::Payload {
-  ProposalPayload(std::uint64_t r, net::NodeId p,
-                  std::vector<chain::Transaction> batch)
-      : round(r), proposer(p), txs(std::move(batch)) {}
-  std::uint64_t round;
-  net::NodeId proposer;
-  std::vector<chain::Transaction> txs;
-};
-
-struct EchoPayload final : net::Payload {
-  EchoPayload(std::uint64_t r, std::vector<net::NodeId> s)
-      : round(r), seen(std::move(s)) {}
-  std::uint64_t round;
-  std::vector<net::NodeId> seen;
-};
-
 struct CommitPayload final : net::Payload {
   CommitPayload(std::uint64_t r, net::NodeId d,
                 std::vector<chain::Transaction> batch)
@@ -75,10 +59,11 @@ RedbellyNode::RedbellyNode(sim::Simulation& simulation, net::Network& network,
                        return node_config;
                      }()),
       config_(config),
-      decisions_(std::move(decisions)) {}
+      decisions_(std::move(decisions)),
+      proposals_(cluster_size()),
+      echoes_(cluster_size()) {}
 
 std::size_t RedbellyNode::t() const { return (cluster_size() - 1) / 3; }
-std::size_t RedbellyNode::quorum() const { return cluster_size() - t(); }
 
 void RedbellyNode::start_protocol() {
   round_ = ledger().height();
@@ -126,7 +111,7 @@ void RedbellyNode::start_round() {
   auto proposal = std::make_shared<const ProposalPayload>(round_, node_id(),
                                                           std::move(batch));
   mark_proposed(proposal->txs, round_);
-  proposals_[node_id()] = proposal->txs;
+  proposals_.assign(node_id(), proposal);
   own_proposal_ = proposal;
   broadcast(own_proposal_, batch_bytes(proposal->txs.size()));
   reset_timer(echo_timer_, config_.proposal_window, [this] { send_echo(); });
@@ -135,33 +120,41 @@ void RedbellyNode::start_round() {
 void RedbellyNode::send_echo() {
   if (!round_open_ || echoed_) return;
   echoed_ = true;
-  std::vector<net::NodeId> seen;
-  seen.reserve(proposals_.size());
-  for (const auto& [proposer, txs] : proposals_) seen.push_back(proposer);
-  auto echo = std::make_shared<const EchoPayload>(round_, seen);
+  std::vector<net::NodeId> seen(proposals_.begin(), proposals_.end());
+  auto echo = std::make_shared<const EchoPayload>(round_, std::move(seen));
   own_echo_ = echo;
-  echoes_[node_id()] = std::set<net::NodeId>(seen.begin(), seen.end());
-  broadcast(own_echo_, 64 + 4 * static_cast<std::uint32_t>(seen.size()));
+  echoes_.assign(node_id(), echo);
+  broadcast(own_echo_,
+            64 + 4 * static_cast<std::uint32_t>(echo->seen.size()));
   maybe_decide();
 }
 
 void RedbellyNode::maybe_decide() {
   if (!round_open_ || !echoed_) return;
-  if (echoes_.size() < quorum()) return;
+  if (!echoes_.has_quorum()) return;
   // Candidate superblock: proposals echoed by at least t+1 nodes and whose
-  // content we hold. Union in proposer-id order, deduplicated.
-  std::map<net::NodeId, std::size_t> counts;
-  for (const auto& [echoer, seen] : echoes_) {
-    for (const net::NodeId proposer : seen) ++counts[proposer];
+  // content we hold. Union in proposer-id order, deduplicated. An echo
+  // counts each proposer once; `last_echoer` filters repeats within one
+  // seen list.
+  const std::size_t n = cluster_size();
+  constexpr net::NodeId kNobody = ~net::NodeId{0};
+  std::vector<std::size_t> counts(n, 0);
+  std::vector<net::NodeId> last_echoer(n, kNobody);
+  for (const net::NodeId echoer : echoes_) {
+    for (const net::NodeId proposer : echoes_.at(echoer)->seen) {
+      if (proposer >= n || last_echoer[proposer] == echoer) continue;
+      last_echoer[proposer] = echoer;
+      ++counts[proposer];
+    }
   }
   DecisionLog::Decision candidate;
   std::unordered_set<chain::TxId> included;
-  for (const auto& [proposer, count] : counts) {
-    if (count < t() + 1) continue;
-    const auto proposal_it = proposals_.find(proposer);
-    if (proposal_it == proposals_.end()) continue;  // content not held
+  for (net::NodeId proposer = 0; proposer < n; ++proposer) {
+    if (counts[proposer] < t() + 1) continue;
+    const auto* proposal = proposals_.find(proposer);
+    if (proposal == nullptr) continue;  // content not held
     candidate.proposers.push_back(proposer);
-    for (const chain::Transaction& tx : proposal_it->second) {
+    for (const chain::Transaction& tx : (*proposal)->txs) {
       if (included.insert(tx.id).second) candidate.txs.push_back(tx);
     }
   }
@@ -204,9 +197,8 @@ void RedbellyNode::on_app_message(const net::Envelope& envelope) {
   const net::Payload* payload = envelope.payload.get();
   if (const auto* proposal = dynamic_cast<const ProposalPayload*>(payload)) {
     if (proposal->round != round_) return;
-    const auto known = proposals_.find(proposal->proposer);
-    if (known != proposals_.end() &&
-        known->second.size() != proposal->txs.size()) {
+    const auto* known = proposals_.find(proposal->proposer);
+    if (known != nullptr && (*known)->txs.size() != proposal->txs.size()) {
       // Two different batches under the same (round, proposer): a
       // double-propose. Keep the first (the DecisionLog pins one canonical
       // superblock regardless, so agreement holds); the conflicting pair
@@ -214,13 +206,15 @@ void RedbellyNode::on_app_message(const net::Envelope& envelope) {
       report_misbehavior(proposal->proposer, core::Offense::kEquivocation);
       return;
     }
-    proposals_[proposal->proposer] = proposal->txs;
+    proposals_.assign(proposal->proposer,
+                      std::static_pointer_cast<const ProposalPayload>(
+                          envelope.payload));
     return;
   }
   if (const auto* echo = dynamic_cast<const EchoPayload*>(payload)) {
     if (echo->round != round_) return;
-    echoes_[envelope.from] =
-        std::set<net::NodeId>(echo->seen.begin(), echo->seen.end());
+    echoes_.assign(envelope.from, std::static_pointer_cast<const EchoPayload>(
+                                      envelope.payload));
     maybe_decide();
     return;
   }

@@ -38,13 +38,30 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "chain/node.hpp"
+#include "chain/quorum.hpp"
 
 namespace stabl::redbelly {
+
+/// Step 1: a node's proposed batch for a round.
+struct ProposalPayload final : net::Payload {
+  ProposalPayload(std::uint64_t r, net::NodeId p,
+                  std::vector<chain::Transaction> batch)
+      : round(r), proposer(p), txs(std::move(batch)) {}
+  std::uint64_t round;
+  net::NodeId proposer;
+  std::vector<chain::Transaction> txs;
+};
+
+/// Step 2: the proposers whose batch the echoer holds, ascending.
+struct EchoPayload final : net::Payload {
+  EchoPayload(std::uint64_t r, std::vector<net::NodeId> s)
+      : round(r), seen(std::move(s)) {}
+  std::uint64_t round;
+  std::vector<net::NodeId> seen;
+};
 
 struct RedbellyConfig {
   /// Wait for other nodes' proposals before echoing.
@@ -123,7 +140,6 @@ class RedbellyNode final : public chain::BlockchainNode {
                     net::NodeId decider);
   void reset_round_state();
   void rebroadcast();
-  [[nodiscard]] std::size_t quorum() const;
   [[nodiscard]] std::size_t t() const;
 
   RedbellyConfig config_;
@@ -133,8 +149,11 @@ class RedbellyNode final : public chain::BlockchainNode {
   std::uint64_t round_ = 0;
   bool round_open_ = false;
   bool echoed_ = false;
-  std::map<net::NodeId, std::vector<chain::Transaction>> proposals_;
-  std::map<net::NodeId, std::set<net::NodeId>> echoes_;
+  // Receivers hold the sender's payload, never a copy of its contents.
+  chain::QuorumSet<std::shared_ptr<const ProposalPayload>> proposals_;
+  // Last echo per echoer: a re-sent echo (restart, rebroadcast) replaces
+  // the earlier one instead of adding to it.
+  chain::QuorumSet<std::shared_ptr<const EchoPayload>> echoes_;
   sim::TimerId echo_timer_ = sim::kInvalidTimer;
   sim::TimerId rebroadcast_timer_ = sim::kInvalidTimer;
   net::PayloadPtr own_proposal_;

@@ -9,16 +9,6 @@
 namespace stabl::refbft {
 namespace {
 
-struct ProposalPayload final : net::Payload {
-  ProposalPayload(std::uint64_t r, net::NodeId l, std::int64_t parent,
-                  std::vector<chain::Transaction> batch)
-      : round(r), leader(l), parent_round(parent), txs(std::move(batch)) {}
-  std::uint64_t round;
-  net::NodeId leader;
-  std::int64_t parent_round;
-  std::vector<chain::Transaction> txs;
-};
-
 /// Content identity of a proposal batch — what a vote's digest binds to.
 std::uint64_t batch_digest(const std::vector<chain::Transaction>& txs) {
   std::uint64_t digest = 0x5245'4642'4654ull;  // "REFBFT"
@@ -27,6 +17,25 @@ std::uint64_t batch_digest(const std::vector<chain::Transaction>& txs) {
   }
   return digest;
 }
+
+}  // namespace
+
+struct ProposalPayload final : net::Payload {
+  ProposalPayload(std::uint64_t r, net::NodeId l, std::int64_t parent,
+                  std::vector<chain::Transaction> batch)
+      : round(r),
+        leader(l),
+        parent_round(parent),
+        txs(std::move(batch)),
+        digest(batch_digest(txs)) {}
+  std::uint64_t round;
+  net::NodeId leader;
+  std::int64_t parent_round;
+  std::vector<chain::Transaction> txs;
+  std::uint64_t digest;  // batch_digest(txs), computed once by the sender
+};
+
+namespace {
 
 struct VotePayload final : net::Payload {
   VotePayload(std::uint64_t r, net::NodeId l, std::uint64_t d)
@@ -53,7 +62,9 @@ std::uint32_t batch_bytes(std::size_t tx_count) {
 RefBftNode::RefBftNode(sim::Simulation& simulation, net::Network& network,
                        chain::NodeConfig node_config, RefBftConfig config)
     : BlockchainNode(simulation, network, std::move(node_config)),
-      config_(config) {}
+      config_(config),
+      votes_(cluster_size()),
+      timeouts_(cluster_size()) {}
 
 void RefBftNode::start_protocol() {
   const auto& blocks = ledger().blocks();
@@ -63,10 +74,7 @@ void RefBftNode::start_protocol() {
 void RefBftNode::stop_protocol() {
   round_ = 0;
   voted_ = false;
-  have_proposal_ = false;
-  proposal_parent_ = -1;
-  proposal_txs_.clear();
-  proposal_digest_ = 0;
+  proposal_.reset();
   votes_.clear();
   timeouts_.clear();
   round_timer_ = sim::kInvalidTimer;
@@ -82,10 +90,7 @@ std::int64_t RefBftNode::tip_round() const {
 void RefBftNode::enter_round(std::uint64_t round) {
   round_ = round;
   voted_ = false;
-  have_proposal_ = false;
-  proposal_parent_ = -1;
-  proposal_txs_.clear();
-  proposal_digest_ = 0;
+  proposal_.reset();
   votes_.clear();
   timeouts_.clear();
   reset_timer(round_timer_, config_.round_timeout,
@@ -106,15 +111,11 @@ void RefBftNode::propose() {
       round_, node_id(), parent, std::move(batch));
   mark_proposed(payload->txs, round_);
   broadcast(payload, batch_bytes(payload->txs.size()));
-  have_proposal_ = true;
-  proposal_leader_ = node_id();
-  proposal_parent_ = parent;
-  proposal_txs_ = payload->txs;
-  proposal_digest_ = batch_digest(proposal_txs_);
+  proposal_ = payload;
   voted_ = true;
-  votes_[node_id()] = proposal_digest_;
+  votes_.assign(node_id(), payload->digest);
   broadcast(std::make_shared<const VotePayload>(round_, node_id(),
-                                                proposal_digest_),
+                                                payload->digest),
             96);
   try_commit();
 }
@@ -123,33 +124,33 @@ void RefBftNode::on_round_timeout() {
   // Retransmit our vote (lost packets must not split the round), shout
   // that the round is stuck, and re-arm so laggards keep hearing us.
   if (voted_) {
-    broadcast(std::make_shared<const VotePayload>(round_, proposal_leader_,
-                                                  proposal_digest_),
+    broadcast(std::make_shared<const VotePayload>(round_, proposal_->leader,
+                                                  proposal_->digest),
               96);
   }
   broadcast(std::make_shared<const TimeoutPayload>(round_), 96);
   timeouts_.insert(node_id());
   round_timer_ =
       set_timer(config_.round_timeout, [this] { on_round_timeout(); });
-  if (timeouts_.size() >= quorum()) {
+  if (timeouts_.has_quorum()) {
     ++timed_out_rounds_;
     enter_round(round_ + 1);
   }
 }
 
 void RefBftNode::maybe_vote() {
-  if (!have_proposal_ || voted_) return;
-  if (proposal_parent_ != tip_round()) return;  // cannot extend this chain
+  if (proposal_ == nullptr || voted_) return;
+  if (proposal_->parent_round != tip_round()) return;  // cannot extend it
   voted_ = true;
-  votes_[node_id()] = proposal_digest_;
-  broadcast(std::make_shared<const VotePayload>(round_, proposal_leader_,
-                                                proposal_digest_),
+  votes_.assign(node_id(), proposal_->digest);
+  broadcast(std::make_shared<const VotePayload>(round_, proposal_->leader,
+                                                proposal_->digest),
             96);
   try_commit();
 }
 
 void RefBftNode::try_commit() {
-  if (!have_proposal_) return;
+  if (proposal_ == nullptr || !votes_.has_quorum()) return;
   std::size_t counted = votes_.size();
   if (misbehavior().enabled()) {
     // Defense on: votes are content-bound — only votes whose digest
@@ -157,18 +158,20 @@ void RefBftNode::try_commit() {
     // never reaches quorum on either variant and times out instead of
     // forking.
     counted = 0;
-    for (const auto& [voter, digest] : votes_) {
-      if (digest == proposal_digest_) ++counted;
+    for (const net::NodeId voter : votes_) {
+      if (votes_.at(voter) == proposal_->digest) ++counted;
     }
   }
-  if (counted < quorum()) return;
-  if (proposal_parent_ != tip_round()) {
+  if (counted < votes_.quorum()) return;
+  if (proposal_->parent_round != tip_round()) {
     // A quorum certified a proposal extending blocks we are missing.
-    if (proposal_parent_ > tip_round()) request_sync(proposal_leader_);
+    if (proposal_->parent_round > tip_round()) {
+      request_sync(proposal_->leader);
+    }
     return;
   }
   const std::uint64_t round = round_;
-  commit_block(proposal_txs_, proposal_leader_, round);
+  commit_block(proposal_->txs, proposal_->leader, round);
   enter_round(round + 1);
 }
 
@@ -187,21 +190,18 @@ void RefBftNode::on_app_message(const net::Envelope& envelope) {
   if (const auto* proposal = dynamic_cast<const ProposalPayload*>(payload)) {
     if (proposal->round < round_) return;
     if (proposal->round > round_) jump_to_round(proposal->round, envelope.from);
-    if (have_proposal_) {
+    if (proposal_ != nullptr) {
       // First proposal for the round wins; a SECOND proposal for the same
       // round from the same leader with different content is equivocation
       // evidence against that leader.
-      if (proposal->leader == proposal_leader_ &&
-          batch_digest(proposal->txs) != proposal_digest_) {
+      if (proposal->leader == proposal_->leader &&
+          proposal->digest != proposal_->digest) {
         report_misbehavior(proposal->leader, core::Offense::kEquivocation);
       }
       return;
     }
-    have_proposal_ = true;
-    proposal_leader_ = proposal->leader;
-    proposal_parent_ = proposal->parent_round;
-    proposal_txs_ = proposal->txs;
-    proposal_digest_ = batch_digest(proposal_txs_);
+    proposal_ =
+        std::static_pointer_cast<const ProposalPayload>(envelope.payload);
     if (proposal->parent_round > tip_round()) request_sync(envelope.from);
     maybe_vote();
     try_commit();
@@ -215,8 +215,8 @@ void RefBftNode::on_app_message(const net::Envelope& envelope) {
     }
     // A vote binding the SAME round and leader to DIFFERENT content than
     // the proposal we hold means the leader fed the cluster two variants.
-    if (have_proposal_ && vote->leader == proposal_leader_ &&
-        vote->digest != proposal_digest_) {
+    if (proposal_ != nullptr && vote->leader == proposal_->leader &&
+        vote->digest != proposal_->digest) {
       report_misbehavior(vote->leader, core::Offense::kEquivocation);
     }
     votes_.emplace(envelope.from, vote->digest);
@@ -230,7 +230,7 @@ void RefBftNode::on_app_message(const net::Envelope& envelope) {
       return;
     }
     timeouts_.insert(envelope.from);
-    if (timeouts_.size() >= quorum()) {
+    if (timeouts_.has_quorum()) {
       ++timed_out_rounds_;
       enter_round(round_ + 1);
     }

@@ -15,12 +15,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "chain/node.hpp"
+#include "chain/quorum.hpp"
 
 namespace stabl::refbft {
+
+struct ProposalPayload;
 
 struct RefBftConfig {
   /// Leader pacing: delay between entering a round and proposing.
@@ -61,26 +63,21 @@ class RefBftNode final : public chain::BlockchainNode {
   void try_commit();
   void jump_to_round(std::uint64_t round, net::NodeId peer_hint);
   [[nodiscard]] std::int64_t tip_round() const;
-  [[nodiscard]] std::size_t quorum() const {
-    return cluster_size() - (cluster_size() - 1) / 3;
-  }
 
   RefBftConfig config_;
 
   // Volatile per-round state; cleared on restart.
   std::uint64_t round_ = 0;
   bool voted_ = false;
-  bool have_proposal_ = false;
-  net::NodeId proposal_leader_ = 0;
-  std::int64_t proposal_parent_ = -1;
-  std::vector<chain::Transaction> proposal_txs_;
-  std::uint64_t proposal_digest_ = 0;
+  // The round's first proposal as its leader sent it; null until one
+  // arrives.
+  std::shared_ptr<const ProposalPayload> proposal_;
   // voter -> content digest the voter claims for this round's proposal.
   // Plain quorum counting ignores the digest (votes are content-blind,
   // which is what an equivocating leader exploits); with the misbehavior
   // defense on, only votes matching our own digest count towards commit.
-  std::map<net::NodeId, std::uint64_t> votes_;
-  std::set<net::NodeId> timeouts_;
+  chain::QuorumSet<std::uint64_t> votes_;
+  chain::QuorumSet<> timeouts_;
   sim::TimerId round_timer_ = sim::kInvalidTimer;
   sim::TimerId propose_timer_ = sim::kInvalidTimer;
   std::uint64_t timed_out_rounds_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <set>
 #include <utility>
 
 #include "chain/hash.hpp"
@@ -15,19 +16,6 @@ namespace {
 struct ForwardPayload final : net::Payload {
   explicit ForwardPayload(std::vector<chain::Transaction> batch)
       : txs(std::move(batch)) {}
-  std::vector<chain::Transaction> txs;
-};
-
-struct BankBlockPayload final : net::Payload {
-  BankBlockPayload(std::uint64_t s, net::NodeId l, std::int64_t parent,
-                   std::vector<chain::Transaction> batch)
-      : slot(s), leader(l), parent_slot(parent), txs(std::move(batch)) {}
-  std::uint64_t slot;
-  net::NodeId leader;
-  /// Ledger tip the leader built on (-1 = genesis): banks replay on their
-  /// parents, so a validator that is missing the parent must repair its
-  /// ledger before it can vote for or finalize this bank.
-  std::int64_t parent_slot;
   std::vector<chain::Transaction> txs;
 };
 
@@ -57,6 +45,25 @@ std::uint64_t batch_digest(const std::vector<chain::Transaction>& txs) {
 }
 
 }  // namespace
+
+struct BankBlockPayload final : net::Payload {
+  BankBlockPayload(std::uint64_t s, net::NodeId l, std::int64_t parent,
+                   std::vector<chain::Transaction> batch)
+      : slot(s),
+        leader(l),
+        parent_slot(parent),
+        txs(std::move(batch)),
+        digest(batch_digest(txs)) {}
+  std::uint64_t slot;
+  net::NodeId leader;
+  /// Ledger tip the leader built on (-1 = genesis): banks replay on their
+  /// parents, so a validator that is missing the parent must repair its
+  /// ledger before it can vote for or finalize this bank.
+  std::int64_t parent_slot;
+  std::vector<chain::Transaction> txs;
+  /// batch_digest(txs), computed once by the leader for every receiver.
+  std::uint64_t digest;
+};
 
 SolanaNode::SolanaNode(sim::Simulation& simulation, net::Network& network,
                        chain::NodeConfig node_config, SolanaConfig config)
@@ -159,10 +166,10 @@ void SolanaNode::on_slot_tick() {
   // banks that should have finalized by now; on a healthy cluster quorum
   // lands within the slot and this never fires.
   for (const auto& [slot, state] : slots_) {
-    if (state.voted && !state.finalized && state.have_block &&
+    if (state.voted && !state.finalized && state.bank != nullptr &&
         slot + 2 <= current_slot_) {
       broadcast(std::make_shared<const VotePayload>(slot, node_id(),
-                                                    batch_digest(state.txs)),
+                                                    state.bank->digest),
                 96);
     }
   }
@@ -191,14 +198,11 @@ void SolanaNode::produce_block(std::uint64_t slot) {
   }
   const std::int64_t parent = tip_slot();
   mark_proposed(batch, slot);
-  auto payload = std::make_shared<const BankBlockPayload>(slot, node_id(),
-                                                          parent, batch);
-  broadcast(payload, batch_bytes(batch.size()));
-  SlotState& state = slots_[slot];
-  state.have_block = true;
-  state.leader = node_id();
-  state.parent_slot = parent;
-  state.txs = std::move(batch);
+  auto payload = std::make_shared<const BankBlockPayload>(
+      slot, node_id(), parent, std::move(batch));
+  broadcast(payload, batch_bytes(payload->txs.size()));
+  SlotState& state = slot_state(slot);
+  state.bank = payload;
   maybe_vote(slot, state);  // the leader endorses its own bank
   try_finalize(slot);
 }
@@ -238,8 +242,8 @@ void SolanaNode::forward_pending(std::uint64_t slot) {
 }
 
 void SolanaNode::maybe_vote(std::uint64_t slot, SlotState& state) {
-  if (!state.have_block || state.voted || state.finalized) return;
-  if (state.parent_slot != tip_slot()) return;  // cannot replay this bank
+  if (state.bank == nullptr || state.voted || state.finalized) return;
+  if (state.bank->parent_slot != tip_slot()) return;  // cannot replay it
   // Lockout (lowest tower rung): the anchor is our *first* vote among the
   // live siblings of the current tip. While that bank is still a live
   // candidate — unfinalized, its parent still our tip — refuse to endorse
@@ -253,9 +257,9 @@ void SolanaNode::maybe_vote(std::uint64_t slot, SlotState& state) {
                                 last_voted_slot_))
                           : slots_.end();
   const bool anchor_live = anchor != slots_.end() &&
-                           anchor->second.have_block &&
+                           anchor->second.bank != nullptr &&
                            !anchor->second.finalized &&
-                           anchor->second.parent_slot == tip_slot();
+                           anchor->second.bank->parent_slot == tip_slot();
   if (anchor_live && slot != static_cast<std::uint64_t>(last_voted_slot_) &&
       slot <= static_cast<std::uint64_t>(last_voted_slot_) +
                   config_.vote_lockout_slots) {
@@ -266,41 +270,39 @@ void SolanaNode::maybe_vote(std::uint64_t slot, SlotState& state) {
   // the anchor only moves when the old one is gone (finalized, dead, or
   // trimmed), which in normal operation is every slot.
   if (!anchor_live) last_voted_slot_ = static_cast<std::int64_t>(slot);
-  state.votes.insert(node_id());
-  const std::uint64_t digest = batch_digest(state.txs);
-  state.vote_digests[node_id()] = digest;
-  broadcast(std::make_shared<const VotePayload>(slot, node_id(), digest),
-            96);
+  state.votes.assign(node_id(), state.bank->digest);
+  broadcast(
+      std::make_shared<const VotePayload>(slot, node_id(), state.bank->digest),
+      96);
 }
 
 bool SolanaNode::finalize_one(std::uint64_t slot, SlotState& state) {
-  if (state.finalized || !state.have_block) return false;
+  if (state.finalized || state.bank == nullptr) return false;
+  // Fewer voters than a quorum cannot support anything: skip the walk.
+  if (state.votes.size() < vote_quorum()) return false;
   // Content-blind counting by default (the property an equivocating leader
   // exploits). With the defense on, only votes whose bank digest matches
   // the locally replayed bank support it — an equivocation split then
   // starves BOTH variants of quorum instead of finalizing each half.
+  const BankBlockPayload& bank = *state.bank;
   std::size_t supporting = state.votes.size();
   if (misbehavior().enabled()) {
-    const std::uint64_t digest = batch_digest(state.txs);
     supporting = 0;
     for (const net::NodeId voter : state.votes) {
-      const auto known = state.vote_digests.find(voter);
-      if (known == state.vote_digests.end() || known->second == digest) {
-        ++supporting;
-      }
+      if (state.votes.at(voter) == bank.digest) ++supporting;
     }
   }
   if (supporting < vote_quorum()) return false;
-  if (state.parent_slot != tip_slot()) {
+  if (bank.parent_slot != tip_slot()) {
     // Quorum on a bank we cannot replay. If its chain is ahead of ours we
     // are missing committed blocks — repair the ledger from the leader;
     // if it is behind, the cluster finalized past our tip's sibling and
     // this bank can never land here.
-    if (state.parent_slot > tip_slot()) request_repair(state.leader);
+    if (bank.parent_slot > tip_slot()) request_repair(bank.leader);
     return false;
   }
   state.finalized = true;
-  commit_block(state.txs, state.leader, slot);
+  commit_block(bank.txs, bank.leader, slot);
   // Rooting lags finality by the freeze-to-root confirmation depth.
   if (slot >= config_.root_lag_slots) {
     const std::uint64_t root = slot - config_.root_lag_slots;
@@ -326,6 +328,10 @@ void SolanaNode::sweep_finalize() {
       }
     }
   }
+}
+
+SolanaNode::SlotState& SolanaNode::slot_state(std::uint64_t slot) {
+  return slots_.try_emplace(slot, cluster_size()).first->second;
 }
 
 void SolanaNode::try_finalize(std::uint64_t slot) {
@@ -372,27 +378,25 @@ void SolanaNode::on_app_message(const net::Envelope& envelope) {
     return;
   }
   if (const auto* block = dynamic_cast<const BankBlockPayload*>(payload)) {
-    SlotState& state = slots_[block->slot];
-    if (!state.have_block) {
-      state.have_block = true;
-      state.leader = block->leader;
-      state.parent_slot = block->parent_slot;
-      state.txs = block->txs;
-    } else if (block->leader == state.leader &&
-               (block->parent_slot != state.parent_slot ||
-                batch_digest(block->txs) != batch_digest(state.txs))) {
+    SlotState& state = slot_state(block->slot);
+    if (state.bank == nullptr) {
+      state.bank =
+          std::static_pointer_cast<const BankBlockPayload>(envelope.payload);
+    } else if (block->leader == state.bank->leader &&
+               (block->parent_slot != state.bank->parent_slot ||
+                block->digest != state.bank->digest)) {
       // Two conflicting banks for one slot from the same leader — the
       // duplicate-shred evidence real clusters gossip proofs about. The
       // first bank wins locally (validators vote per slot, content-blind,
       // which is why an equivocating leader can split finality without the
       // defense); report the leader so the scorer can throttle/ban it.
-      report_misbehavior(state.leader, core::Offense::kEquivocation);
-    } else if (block->leader == state.leader &&
+      report_misbehavior(state.bank->leader, core::Offense::kEquivocation);
+    } else if (block->leader == state.bank->leader &&
                block->slot + config_.leader_group_slots < current_slot_) {
       // An identical bank replayed well past its slot: withhold-replay.
       // Banks are never retransmitted in normal operation (votes are), so
       // a late duplicate is evidence, not gossip noise.
-      report_misbehavior(state.leader, core::Offense::kStaleReplay);
+      report_misbehavior(state.bank->leader, core::Offense::kStaleReplay);
     }
     if (block->parent_slot > tip_slot()) {
       // The leader built on blocks we never replayed: repair before voting.
@@ -403,13 +407,12 @@ void SolanaNode::on_app_message(const net::Envelope& envelope) {
     return;
   }
   if (const auto* vote = dynamic_cast<const VotePayload*>(payload)) {
-    SlotState& state = slots_[vote->slot];
-    state.votes.insert(vote->voter);
-    state.vote_digests[vote->voter] = vote->bank_digest;
-    if (state.have_block && vote->bank_digest != batch_digest(state.txs)) {
+    SlotState& state = slot_state(vote->slot);
+    state.votes.assign(vote->voter, vote->bank_digest);
+    if (state.bank != nullptr && vote->bank_digest != state.bank->digest) {
       // A peer endorsed a different bank for this slot than the one its
       // leader sent us: duplicate-bank evidence against the leader.
-      report_misbehavior(state.leader, core::Offense::kEquivocation);
+      report_misbehavior(state.bank->leader, core::Offense::kEquivocation);
     }
     try_finalize(vote->slot);
     return;

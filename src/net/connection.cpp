@@ -4,31 +4,6 @@
 #include <utility>
 
 namespace stabl::net {
-namespace {
-
-PayloadPtr control_frame(ControlPayload::Kind kind) {
-  // Control frames are immutable and identical; share one instance per kind.
-  static const auto syn =
-      std::make_shared<const ControlPayload>(ControlPayload::Kind::kSyn);
-  static const auto synack =
-      std::make_shared<const ControlPayload>(ControlPayload::Kind::kSynAck);
-  static const auto ping =
-      std::make_shared<const ControlPayload>(ControlPayload::Kind::kPing);
-  static const auto pong =
-      std::make_shared<const ControlPayload>(ControlPayload::Kind::kPong);
-  static const auto rst =
-      std::make_shared<const ControlPayload>(ControlPayload::Kind::kRst);
-  switch (kind) {
-    case ControlPayload::Kind::kSyn: return syn;
-    case ControlPayload::Kind::kSynAck: return synack;
-    case ControlPayload::Kind::kPing: return ping;
-    case ControlPayload::Kind::kPong: return pong;
-    case ControlPayload::Kind::kRst: return rst;
-  }
-  return rst;  // unreachable
-}
-
-}  // namespace
 
 ConnectionManager::ConnectionManager(sim::Process& host, Network& network,
                                      NodeId self, std::vector<NodeId> peers,
@@ -40,30 +15,45 @@ ConnectionManager::ConnectionManager(sim::Process& host, Network& network,
       peer_ids_(std::move(peers)),
       policy_(policy),
       callbacks_(std::move(callbacks)),
-      rng_(network.simulation().rng().fork()) {
-  for (const NodeId peer : peer_ids_) peers_.emplace(peer, Peer{});
+      rng_(network.simulation().rng().fork()),
+      peers_(peer_ids_.size()) {
+  for (std::size_t i = 0; i < peer_ids_.size(); ++i) {
+    const NodeId peer = peer_ids_[i];
+    if (peer >= slot_of_.size()) slot_of_.resize(peer + 1, kNoSlot);
+    assert(slot_of_[peer] == kNoSlot && "duplicate peer id");
+    slot_of_[peer] = static_cast<std::uint32_t>(i);
+  }
 }
 
 void ConnectionManager::start() {
-  for (const NodeId peer : peer_ids_) {
-    peers_[peer] = Peer{};
-    dial(peer);
+  for (std::size_t i = 0; i < peer_ids_.size(); ++i) {
+    peers_[i] = Peer{};
+    dial(peer_ids_[i]);
   }
   host_.set_timer(policy_.tick, [this] { tick(); });
 }
 
 void ConnectionManager::stop() {
-  for (auto& [id, peer] : peers_) peer = Peer{};
+  for (Peer& peer : peers_) peer = Peer{};
+}
+
+std::uint32_t ConnectionManager::slot(NodeId peer) const {
+  return peer < slot_of_.size() ? slot_of_[peer] : kNoSlot;
+}
+
+ConnectionManager::Peer* ConnectionManager::find_peer(NodeId peer) {
+  const std::uint32_t index = slot(peer);
+  return index == kNoSlot ? nullptr : &peers_[index];
 }
 
 bool ConnectionManager::connected(NodeId peer) const {
-  const auto it = peers_.find(peer);
-  return it != peers_.end() && it->second.state == State::kConnected;
+  const std::uint32_t index = slot(peer);
+  return index != kNoSlot && peers_[index].state == State::kConnected;
 }
 
 std::size_t ConnectionManager::connected_count() const {
   std::size_t count = 0;
-  for (const auto& [id, peer] : peers_) {
+  for (const Peer& peer : peers_) {
     if (peer.state == State::kConnected) ++count;
   }
   return count;
@@ -88,8 +78,8 @@ bool ConnectionManager::send(NodeId peer, PayloadPtr payload,
 }
 
 bool ConnectionManager::handle(const Envelope& envelope) {
-  const auto it = peers_.find(envelope.from);
-  if (it == peers_.end()) {
+  Peer* const tracked = find_peer(envelope.from);
+  if (tracked == nullptr) {
     // Inbound traffic from a machine outside our peer set (e.g. a client
     // dialing a node). Accept the connection protocol without tracking it.
     const auto* control =
@@ -108,7 +98,7 @@ bool ConnectionManager::handle(const Envelope& envelope) {
         return true;
     }
   }
-  Peer& state = it->second;
+  Peer& state = *tracked;
   const auto* control =
       dynamic_cast<const ControlPayload*>(envelope.payload.get());
   if (control == nullptr) {
@@ -155,8 +145,9 @@ bool ConnectionManager::handle(const Envelope& envelope) {
 void ConnectionManager::tick() {
   if (!host_.alive()) return;
   const sim::Time now = host_.now();
-  for (const NodeId id : peer_ids_) {
-    Peer& peer = peers_[id];
+  for (std::size_t i = 0; i < peer_ids_.size(); ++i) {
+    const NodeId id = peer_ids_[i];
+    Peer& peer = peers_[i];
     switch (peer.state) {
       case State::kConnected:
         if (now - peer.last_heard > policy_.dead_after) {
@@ -232,9 +223,9 @@ void ConnectionManager::send_control(NodeId peer, ControlPayload::Kind kind) {
 }
 
 ConnectionManager::Peer& ConnectionManager::peer_state(NodeId peer) {
-  const auto it = peers_.find(peer);
-  assert(it != peers_.end() && "envelope from an unknown peer");
-  return it->second;
+  Peer* const state = find_peer(peer);
+  assert(state != nullptr && "envelope from an unknown peer");
+  return *state;
 }
 
 }  // namespace stabl::net

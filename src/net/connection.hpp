@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.hpp"
@@ -92,6 +91,10 @@ class ConnectionManager {
   void mark_up(NodeId peer);
   void schedule_retry(NodeId peer);
   void send_control(NodeId peer, ControlPayload::Kind kind);
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  // Index of `peer` in peers_, or kNoSlot for machines outside peers().
+  [[nodiscard]] std::uint32_t slot(NodeId peer) const;
+  Peer* find_peer(NodeId peer);  // nullptr for machines outside peers()
   Peer& peer_state(NodeId peer);
 
   sim::Process& host_;
@@ -101,7 +104,10 @@ class ConnectionManager {
   ConnectionPolicy policy_;
   Callbacks callbacks_;
   sim::Rng rng_;
-  std::unordered_map<NodeId, Peer> peers_;
+  // Dense peer table: peers_[i] is the state of peer_ids_[i], and
+  // slot_of_[id] is that i (kNoSlot for machines outside the peer set).
+  std::vector<Peer> peers_;
+  std::vector<std::uint32_t> slot_of_;
 };
 
 }  // namespace stabl::net

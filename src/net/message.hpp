@@ -7,6 +7,7 @@
 // what is actually on the wire).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -44,6 +45,18 @@ struct ControlPayload final : Payload {
   explicit ControlPayload(Kind k) : kind(k) {}
   Kind kind;
 };
+
+/// The shared frame of a control kind. Control frames are immutable and
+/// identical, so every sender reuses one instance per kind.
+inline PayloadPtr control_frame(ControlPayload::Kind kind) {
+  static const PayloadPtr frames[] = {
+      std::make_shared<const ControlPayload>(ControlPayload::Kind::kSyn),
+      std::make_shared<const ControlPayload>(ControlPayload::Kind::kSynAck),
+      std::make_shared<const ControlPayload>(ControlPayload::Kind::kPing),
+      std::make_shared<const ControlPayload>(ControlPayload::Kind::kPong),
+      std::make_shared<const ControlPayload>(ControlPayload::Kind::kRst)};
+  return frames[static_cast<std::size_t>(kind)];
+}
 
 /// Receiving side of the network. A machine's deliver() is only invoked
 /// while its process is alive.

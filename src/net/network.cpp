@@ -11,6 +11,7 @@ Network::Network(sim::Simulation& simulation, LatencyConfig latency)
 
 void Network::attach(NodeId id, Endpoint* endpoint) {
   assert(endpoint != nullptr);
+  if (id >= endpoints_.size()) endpoints_.resize(id + 1, nullptr);
   endpoints_[id] = endpoint;
 }
 
@@ -45,13 +46,13 @@ void Network::deliver(const Envelope& envelope) {
     ++stats_.dropped_loss;
     return;
   }
-  const auto it = endpoints_.find(envelope.to);
-  if (it == endpoints_.end()) {
+  Endpoint* const endpoint =
+      envelope.to < endpoints_.size() ? endpoints_[envelope.to] : nullptr;
+  if (endpoint == nullptr) {
     // No such host: the packet disappears (no RST without a machine).
     ++stats_.dropped_dead;
     return;
   }
-  Endpoint* endpoint = it->second;
   if (!endpoint->endpoint_alive()) {
     ++stats_.dropped_dead;
     // A dead *process* (not machine) means the OS answers with a TCP RST,
@@ -69,9 +70,7 @@ void Network::deliver(const Envelope& envelope) {
 
 void Network::send_rst(NodeId dead, NodeId to) {
   ++stats_.rst_sent;
-  send(dead, to,
-       std::make_shared<const ControlPayload>(ControlPayload::Kind::kRst),
-       /*bytes=*/64);
+  send(dead, to, control_frame(ControlPayload::Kind::kRst), /*bytes=*/64);
 }
 
 RuleId Network::install(Rule rule) {

@@ -160,7 +160,7 @@ class Network {
   sim::Simulation& sim_;
   LatencyModel latency_;
   sim::Rng rng_;
-  std::unordered_map<NodeId, Endpoint*> endpoints_;
+  std::vector<Endpoint*> endpoints_;  // indexed by NodeId; null = no host
   std::unordered_map<RuleId, Rule> rules_;
   RuleId next_rule_ = 1;
   NetworkStats stats_;

@@ -129,6 +129,67 @@ TEST(Redbelly, RestartedNodeCatchesUp) {
   testing::expect_prefix_consistent(harness);
 }
 
+// Drives a lone node of a 4-node cluster (t = 1, quorum 3) through round 0
+// with hand-delivered proposals and echoes, and returns the transaction
+// ids of the superblock it commits. Proposers 1 and 2 each offer one
+// transaction; echoer 1 first reports {0, 1, 2}, and when
+// `echoer_restarts` it echoes again with {0} only — what a node that
+// restarted within the round and lost the proposals it had seen sends.
+std::vector<chain::TxId> superblock_after_echoes(bool echoer_restarts) {
+  Harness harness;
+  chain::NodeConfig node_config;
+  node_config.n = 4;
+  node_config.network_seed = 77;
+  RedbellyNode node(harness.simulation, harness.network, node_config,
+                    RedbellyConfig{}, std::make_shared<DecisionLog>());
+  node.start();
+  // The round opens after round_pacing (+ jitter <= 200 ms); the node
+  // echoes proposal_window (400 ms) later.
+  harness.simulation.run_until(sim::ms(750));
+  EXPECT_EQ(node.current_round(), 0u);
+  const auto deliver = [&](net::NodeId from, net::PayloadPtr payload) {
+    node.deliver(net::Envelope{from, 0, 256, std::move(payload)});
+  };
+  const auto tx = [](chain::TxId id, chain::AccountId from) {
+    chain::Transaction t;
+    t.id = id;
+    t.from = from;
+    t.to = 1000 + from;
+    t.amount = 1;
+    return t;
+  };
+  deliver(1, std::make_shared<const ProposalPayload>(
+                 0, 1, std::vector<chain::Transaction>{tx(101, 1)}));
+  deliver(2, std::make_shared<const ProposalPayload>(
+                 0, 2, std::vector<chain::Transaction>{tx(202, 2)}));
+  deliver(1, std::make_shared<const EchoPayload>(
+                 0, std::vector<net::NodeId>{0, 1, 2}));
+  if (echoer_restarts) {
+    deliver(1, std::make_shared<const EchoPayload>(
+                   0, std::vector<net::NodeId>{0}));
+  }
+  deliver(2, std::make_shared<const EchoPayload>(
+                 0, std::vector<net::NodeId>{0, 1}));
+  // Echoes from 1 and 2 plus the node's own {0, 1, 2} make a quorum.
+  harness.simulation.run_until(sim::ms(1500));
+  std::vector<chain::TxId> ids;
+  if (node.ledger().blocks().empty()) return ids;
+  for (const auto& t : node.ledger().blocks()[0].txs) ids.push_back(t.id);
+  return ids;
+}
+
+TEST(Redbelly, SecondEchoFromSameEchoerReplacesTheFirst) {
+  // Proposer 2 is echoed by the node itself and by echoer 1's first echo:
+  // t + 1 = 2 echoes, so it makes the superblock...
+  EXPECT_EQ(superblock_after_echoes(/*echoer_restarts=*/false),
+            (std::vector<chain::TxId>{101, 202}));
+  // ...unless echoer 1's second echo replaced the first. Then only the
+  // node's own echo lists proposer 2, and merging the two echoes (or
+  // counting both) would wrongly keep it in.
+  EXPECT_EQ(superblock_after_echoes(/*echoer_restarts=*/true),
+            (std::vector<chain::TxId>{101}));
+}
+
 TEST(DecisionLogTest, FirstCandidateWins) {
   DecisionLog log;
   DecisionLog::Decision first;
