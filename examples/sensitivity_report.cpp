@@ -6,11 +6,13 @@
 // Usage: sensitivity_report [duration_seconds] [seed]
 //   duration_seconds: total experiment length (default 400, the paper's).
 //     The fault is injected at 1/3 and cleared at 2/3 of the run.
+// The 20 cells run through core::run_campaign on every hardware thread;
+// the report is the same for any number of threads.
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/experiment.hpp"
-#include "core/radar.hpp"
+#include "core/campaign.hpp"
+#include "core/parallel.hpp"
 #include "core/report.hpp"
 
 int main(int argc, char** argv) {
@@ -18,28 +20,19 @@ int main(int argc, char** argv) {
   const long duration_s = argc > 1 ? std::atol(argv[1]) : 400;
   const unsigned long seed = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 42;
 
-  core::RadarSummary radar;
-  const core::FaultType faults[] = {
-      core::FaultType::kCrash, core::FaultType::kTransient,
-      core::FaultType::kPartition, core::FaultType::kSecureClient};
+  core::CampaignConfig campaign;
+  campaign.base.seed = seed;
+  campaign.base.duration = sim::sec(duration_s);
+  campaign.base.inject_at = sim::sec(duration_s / 3);
+  campaign.base.recover_at = sim::sec(2 * duration_s / 3);
+  campaign.jobs = core::default_jobs();
+  const core::CampaignResult result = core::run_campaign(campaign);
 
-  for (const core::ChainKind chain : core::kAllChains) {
+  for (const core::ChainKind chain : campaign.chains) {
     std::printf("=== %s (t=%zu) ===\n", core::to_string(chain).c_str(),
                 core::fault_tolerance(chain, 10));
-    for (const core::FaultType fault : faults) {
-      core::ExperimentConfig config;
-      config.chain = chain;
-      config.seed = seed;
-      config.duration = sim::sec(duration_s);
-      config.inject_at = sim::sec(duration_s / 3);
-      config.recover_at = sim::sec(2 * duration_s / 3);
-      config.fault = fault;
-      if (fault == core::FaultType::kSecureClient) {
-        config.client_fanout = 4;
-        config.vcpus = 8.0;  // paper §7: bigger VMs for the secure client
-      }
-      const core::SensitivityRun run = core::run_sensitivity(config);
-      radar.record(chain, fault, run.score);
+    for (const core::FaultType fault : campaign.faults) {
+      const core::SensitivityRun& run = *result.get(chain, fault);
       std::printf(
           "  %-13s score=%8s  committed %6llu/%6llu  mean %6.2fs -> %6.2fs"
           "  recovery %5.1fs  live=%s\n",
@@ -54,7 +47,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n=== Fig. 7 radar: sensitivity of the tested blockchains ===\n");
-  std::printf("%s", radar.to_table().c_str());
+  std::printf("%s", result.radar.to_table().c_str());
   std::printf("(*) = the altered environment improved latency (striped bar)\n");
   return 0;
 }

@@ -305,8 +305,7 @@ int main(int argc, char** argv) {
   bool experiment_flags = false;
   // Legacy tuning flags. They are mapped onto registry parameter keys
   // once the chain is known, and silently skipped when the chain does not
-  // declare the key — exactly the old ChainTuning semantics (a Solana
-  // knob on a Redbelly run was always ignored).
+  // declare the key (a Solana knob on a Redbelly run is ignored).
   std::optional<bool> flag_no_throttling;
   std::optional<bool> flag_no_warmup_epochs;
   std::optional<double> flag_max_idle_s;
@@ -583,13 +582,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!trace_path.empty() && !report.cells.empty()) {
-      core::ExperimentConfig traced = study.base;
-      traced.chain = report.cells.front().chain;
-      traced.fault = report.cells.front().fault;
-      if (traced.fault == core::FaultType::kSecureClient) {
-        traced.client_fanout = 4;
-        traced.vcpus = 8.0;
-      }
+      const core::AttributionCell& first = report.cells.front();
+      core::ExperimentConfig traced = core::paper_cell(
+          study.base, first.chain, first.fault, study.base.seed);
       sim::TraceSink sink;
       traced.trace = &sink;
       core::run_experiment(traced);

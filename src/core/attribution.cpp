@@ -269,48 +269,37 @@ AttributionReport run_attribution(const AttributionConfig& config) {
     }
   }
 
-  std::vector<AttributionCell> slots(grid.size());
-  Heartbeat heartbeat("attribution", grid.size(), config.heartbeat);
-  ThreadPool pool(config.jobs);
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
-    ExperimentConfig altered = config.base;
-    altered.chain = grid[i].chain;
-    altered.fault = grid[i].fault;
-    // Cells run concurrently; observability shared through base would
-    // race. The recorders below are per-cell locals.
-    altered.trace = nullptr;
-    altered.metrics = nullptr;
-    if (altered.fault == FaultType::kSecureClient) {
-      altered.client_fanout = 4;
-      altered.vcpus = 8.0;
-    }
-    ExperimentConfig baseline = baseline_of(altered);
-    sim::LifecycleRecorder baseline_recorder;
-    sim::LifecycleRecorder altered_recorder;
-    baseline.lifecycle = &baseline_recorder;
-    altered.lifecycle = &altered_recorder;
+  GridResult<AttributionCell> cells = run_grid(
+      grid, config.jobs, "attribution", config.heartbeat,
+      [&](const CellSpec& spec) {
+        ExperimentConfig altered =
+            paper_cell(config.base, spec.chain, spec.fault, config.base.seed);
+        ExperimentConfig baseline = baseline_of(altered);
+        sim::LifecycleRecorder baseline_recorder;
+        sim::LifecycleRecorder altered_recorder;
+        baseline.lifecycle = &baseline_recorder;
+        altered.lifecycle = &altered_recorder;
 
-    const ExperimentResult baseline_result = run_experiment(baseline);
-    const ExperimentResult altered_result = run_experiment(altered);
+        const ExperimentResult baseline_result = run_experiment(baseline);
+        const ExperimentResult altered_result = run_experiment(altered);
 
-    AttributionCell cell;
-    cell.chain = grid[i].chain;
-    cell.fault = grid[i].fault;
-    cell.seed = altered.seed;
-    cell.score =
-        sensitivity(baseline_result.latencies, altered_result.latencies,
-                    altered_result.live_at_end, {});
-    cell.altered_live_at_end = altered_result.live_at_end;
-    cell.baseline = fold_lifecycle(baseline_recorder);
-    cell.altered = fold_lifecycle(altered_recorder);
-    cell.measured_latency_delta_s =
-        altered_result.mean_latency_s - baseline_result.mean_latency_s;
-    slots[i] = std::move(cell);
-    heartbeat.tick();
-  });
+        AttributionCell cell;
+        cell.chain = spec.chain;
+        cell.fault = spec.fault;
+        cell.seed = altered.seed;
+        cell.score =
+            sensitivity(baseline_result.latencies, altered_result.latencies,
+                        altered_result.live_at_end, {});
+        cell.altered_live_at_end = altered_result.live_at_end;
+        cell.baseline = fold_lifecycle(baseline_recorder);
+        cell.altered = fold_lifecycle(altered_recorder);
+        cell.measured_latency_delta_s =
+            altered_result.mean_latency_s - baseline_result.mean_latency_s;
+        return cell;
+      });
 
   AttributionReport report;
-  report.cells = std::move(slots);
+  report.cells = std::move(cells.slots);
   return report;
 }
 

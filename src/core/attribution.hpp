@@ -27,8 +27,8 @@
 // detour. The cell's dominant stage is the segment with the largest
 // absolute mean-latency delta.
 //
-// Determinism: cells fan out over a ThreadPool into index-addressed slots
-// (the campaign discipline), every serializer uses fixed precisions, and
+// Determinism: cells fan out through core::run_grid and are built by
+// paper_cell (DESIGN.md §9), every serializer uses fixed precisions, and
 // the recorder is independent of TraceSink — to_csv()/to_json() are
 // byte-identical at every jobs setting and with tracing on or off.
 #pragma once
@@ -54,8 +54,9 @@ struct AttributionConfig {
   std::vector<FaultType> faults{FaultType::kCrash, FaultType::kTransient,
                                 FaultType::kPartition,
                                 FaultType::kSecureClient};
-  /// Template applied to both twins of every cell; chain/fault set per
-  /// cell (secure-client cells get fanout 4 and 8 vCPUs, as in §7).
+  /// Template applied to both twins of every cell: the altered twin is
+  /// paper_cell(base, chain, fault, base.seed), the baseline its
+  /// baseline_of.
   ExperimentConfig base{};
   /// Worker lanes; 1 = serial. Output is byte-identical for any value.
   unsigned jobs = 1;
@@ -135,7 +136,8 @@ struct AttributionReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Run the paired attribution campaign over config.jobs threads.
+/// Run the paired attribution campaign through run_grid on config.jobs
+/// lanes.
 AttributionReport run_attribution(const AttributionConfig& config);
 
 }  // namespace stabl::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <sstream>
 
 #include "core/chaos.hpp"
@@ -38,13 +37,15 @@ std::string sweep_json(const SeedSweepStats& stats) {
 
 }  // namespace
 
-std::vector<std::uint64_t> CampaignConfig::seed_list() const {
+std::vector<std::uint64_t> seed_list(const std::vector<std::uint64_t>& seeds,
+                                     std::size_t num_seeds,
+                                     std::uint64_t first) {
   if (!seeds.empty()) return seeds;
   std::vector<std::uint64_t> list;
   const std::size_t count = std::max<std::size_t>(num_seeds, 1);
   list.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    list.push_back(base.seed + static_cast<std::uint64_t>(i));
+    list.push_back(first + static_cast<std::uint64_t>(i));
   }
   return list;
 }
@@ -158,7 +159,8 @@ std::string CampaignResult::timing_table() const {
 
 CampaignResult run_campaign(const CampaignConfig& config) {
   const WallTimer campaign_timer;
-  const std::vector<std::uint64_t> seeds = config.seed_list();
+  const std::vector<std::uint64_t> seeds =
+      seed_list(config.seeds, config.num_seeds, config.base.seed);
 
   struct Cell {
     ChainKind chain;
@@ -175,46 +177,24 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     }
   }
 
-  // Fan the grid out: each cell writes only its own slot, so gathering by
-  // index below is deterministic regardless of completion order.
-  std::vector<SensitivityRun> slots(grid.size());
-  std::vector<double> wall_slots(grid.size(), 0.0);
-  std::mutex progress_mutex;
-  Heartbeat heartbeat("campaign", grid.size(), config.heartbeat);
-  ThreadPool pool(config.jobs);
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
-    const WallTimer cell_timer;
-    ExperimentConfig cell = config.base;
-    cell.chain = grid[i].chain;
-    cell.fault = grid[i].fault;
-    cell.seed = grid[i].seed;
-    // Cells run concurrently; a sink/registry/recorder shared through base
-    // would race. Per-cell tracing goes through stabl_cli's single-run
-    // path.
-    cell.trace = nullptr;
-    cell.metrics = nullptr;
-    cell.lifecycle = nullptr;
-    if (cell.fault == FaultType::kSecureClient) {
-      cell.client_fanout = 4;
-      cell.vcpus = 8.0;
-    }
-    SensitivityRun run = run_sensitivity(cell);
-    wall_slots[i] = cell_timer.elapsed_ms();
-    if (config.on_cell_done) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      config.on_cell_done(grid[i].chain, grid[i].fault, grid[i].seed, run);
-    }
-    slots[i] = std::move(run);
-    heartbeat.tick();
-  });
+  GridResult<SensitivityRun> runs = run_grid(
+      grid, config.jobs, "campaign", config.heartbeat,
+      [&](const Cell& cell) {
+        return run_sensitivity(
+            paper_cell(config.base, cell.chain, cell.fault, cell.seed));
+      },
+      [&](const Cell& cell, const SensitivityRun& run) {
+        if (config.on_cell_done) {
+          config.on_cell_done(cell.chain, cell.fault, cell.seed, run);
+        }
+      });
 
   CampaignResult result;
   result.seeds = seeds;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    result.seed_runs[{grid[i].chain, grid[i].fault}].push_back(
-        std::move(slots[i]));
-    result.cell_wall_ms[{grid[i].chain, grid[i].fault}].push_back(
-        wall_slots[i]);
+    const CampaignResult::CellKey key{grid[i].chain, grid[i].fault};
+    result.seed_runs[key].push_back(std::move(runs.slots[i]));
+    result.cell_wall_ms[key].push_back(runs.wall_ms[i]);
   }
   for (const auto& [key, cell_runs] : result.seed_runs) {
     result.radar.record(key.first, key.second, cell_runs.front().score);
@@ -324,17 +304,6 @@ std::string mitigation_fault_text(const MitigationPair& pair) {
 }
 
 }  // namespace
-
-std::vector<std::uint64_t> MitigationConfig::seed_list() const {
-  if (!seeds.empty()) return seeds;
-  std::vector<std::uint64_t> list;
-  const std::size_t count = std::max<std::size_t>(num_seeds, 1);
-  list.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    list.push_back(base.seed + static_cast<std::uint64_t>(i));
-  }
-  return list;
-}
 
 double MitigationPair::delta() const {
   if (unmitigated.score.invalid_baseline || mitigated.score.invalid_baseline) {
@@ -473,7 +442,8 @@ ExperimentConfig mitigated_config(const ExperimentConfig& cell,
 }
 
 MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
-  const std::vector<std::uint64_t> seeds = config.seed_list();
+  const std::vector<std::uint64_t> seeds =
+      seed_list(config.seeds, config.num_seeds, config.base.seed);
 
   struct PairCell {
     ChainKind chain;
@@ -494,77 +464,52 @@ MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
     }
   }
   if (config.chaos_pairs > 0) {
-    // Chaos pairs reuse the chaos campaign's stream discipline: trial k of
-    // chain c draws its experiment seed and schedule from
-    // root.derive(c * 1'000'003 + k), so the same (seed, chain) always
-    // yields the same paired schedule regardless of jobs or chain order.
+    // The same (seed, chain, k) always yields the same paired schedule,
+    // regardless of jobs or chain order.
     const ChaosGenConfig gen = adversarial_gen_for(config.base.duration);
     const sim::Rng root(config.base.seed);
     for (const ChainKind chain : config.chains) {
       for (std::size_t k = 0; k < config.chaos_pairs; ++k) {
-        const std::uint64_t stream =
-            static_cast<std::uint64_t>(chain) * 1'000'003ull +
-            static_cast<std::uint64_t>(k);
-        sim::Rng rng = root.derive(stream);
-        const std::uint64_t experiment_seed = rng.next_u64();
-        grid.push_back({chain, FaultType::kNone, true, k, experiment_seed,
-                        generate_schedule(rng, gen)});
+        ChaosTrial draw = draw_chaos_trial(root, chain, k, gen);
+        grid.push_back({chain, FaultType::kNone, true, k,
+                        draw.experiment_seed, std::move(draw.schedule)});
       }
     }
   }
 
-  // Both twins of a pair run in the same slot: the mitigated run follows
-  // the unmitigated run of the same cell, and slots are gathered in grid
-  // order — byte-identical output for any jobs value.
-  std::vector<MitigationPair> slots(grid.size());
-  std::mutex progress_mutex;
-  Heartbeat heartbeat("mitigation", grid.size(), config.heartbeat);
-  ThreadPool pool(config.jobs);
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
-    const PairCell& cell = grid[i];
-    ExperimentConfig unmitigated = config.base;
-    unmitigated.chain = cell.chain;
-    unmitigated.seed = cell.seed;
-    // Pairs run concurrently; a sink/registry/recorder shared through base
-    // would race. Observability goes through stabl_cli's single-run path.
-    unmitigated.trace = nullptr;
-    unmitigated.metrics = nullptr;
-    unmitigated.lifecycle = nullptr;
-    if (cell.chaos) {
-      unmitigated.fault = FaultType::kNone;
-      unmitigated.fault_targets.clear();
-      unmitigated.extra_faults = cell.schedule;
-    } else {
-      unmitigated.fault = cell.fault;
-      if (cell.fault == FaultType::kSecureClient) {
-        unmitigated.client_fanout = 4;
-        unmitigated.vcpus = 8.0;
-      }
-    }
-    const ExperimentConfig mitigated =
-        mitigated_config(unmitigated, config.layers);
+  // Both twins of a pair run in the same cell: the mitigated run follows
+  // the unmitigated run under the same seed and schedule.
+  GridResult<MitigationPair> pairs = run_grid(
+      grid, config.jobs, "mitigation", config.heartbeat,
+      [&](const PairCell& cell) {
+        ExperimentConfig unmitigated =
+            paper_cell(config.base, cell.chain, cell.fault, cell.seed);
+        if (cell.chaos) {
+          unmitigated.fault_targets.clear();
+          unmitigated.extra_faults = cell.schedule;
+        }
+        const ExperimentConfig mitigated =
+            mitigated_config(unmitigated, config.layers);
 
-    MitigationPair pair;
-    pair.chain = cell.chain;
-    pair.fault = cell.fault;
-    pair.chaos = cell.chaos;
-    pair.chaos_trial = cell.chaos_trial;
-    pair.seed = cell.seed;
-    pair.mitigated_chain = to_string(mitigated.chain);
-    pair.schedule = cell.schedule;
-    pair.unmitigated = run_sensitivity(unmitigated);
-    pair.mitigated = run_sensitivity(mitigated);
-    if (config.on_pair_done) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      config.on_pair_done(pair);
-    }
-    slots[i] = std::move(pair);
-    heartbeat.tick();
-  });
+        MitigationPair pair;
+        pair.chain = cell.chain;
+        pair.fault = cell.fault;
+        pair.chaos = cell.chaos;
+        pair.chaos_trial = cell.chaos_trial;
+        pair.seed = cell.seed;
+        pair.mitigated_chain = to_string(mitigated.chain);
+        pair.schedule = cell.schedule;
+        pair.unmitigated = run_sensitivity(unmitigated);
+        pair.mitigated = run_sensitivity(mitigated);
+        return pair;
+      },
+      [&](const PairCell&, const MitigationPair& pair) {
+        if (config.on_pair_done) config.on_pair_done(pair);
+      });
 
   MitigationResult result;
   result.layers = config.layers;
-  result.pairs = std::move(slots);
+  result.pairs = std::move(pairs.slots);
   return result;
 }
 

@@ -3,13 +3,12 @@
 // one call — the entry point a CI pipeline would use ("STABL, pluggable in
 // continuous integration pipelines", §1).
 //
-// The (chain x fault x seed) cell grid is embarrassingly parallel — every
-// cell is an independent, deterministic DES — so `run_campaign` fans it
-// out across `jobs` threads and gathers results into index-addressed slots
-// in deterministic order: parallel output is byte-identical to serial
-// output for the same config. Seed sweeps aggregate per-cell runs into
-// `SeedSweepStats` (mean / min / max / sample stddev of the score plus the
-// liveness-loss count), and the CI gate judges the *worst* seed.
+// The (chain x fault x seed) cell grid runs through core::run_grid (the
+// one fan-out, DESIGN.md §9) and each cell is built by paper_cell, so any
+// `jobs` value gives byte-identical output. Seed sweeps aggregate per-cell
+// runs into `SeedSweepStats` (mean / min / max / sample stddev of the
+// score plus the liveness-loss count), and the CI gate judges the *worst*
+// seed.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +30,8 @@ struct CampaignConfig {
   std::vector<FaultType> faults{FaultType::kCrash, FaultType::kTransient,
                                 FaultType::kPartition,
                                 FaultType::kSecureClient};
-  /// Template applied to every run; chain/fault/fanout/vcpus are set per
-  /// cell (secure-client cells get fanout 4 and 8 vCPUs, as in §7).
+  /// Template applied to every run; each cell is
+  /// paper_cell(base, chain, fault, seed).
   ExperimentConfig base{};
   /// Explicit seeds to sweep per cell. When empty, `num_seeds` consecutive
   /// seeds starting at base.seed are used (the default 1 keeps the single
@@ -43,9 +42,9 @@ struct CampaignConfig {
   /// calling thread; 1 = serial. Output is byte-identical for any value.
   unsigned jobs = 1;
   /// Invoked after each (cell, seed) completes (progress reporting); may
-  /// be empty. Serialized behind an internal mutex — at most one
-  /// invocation runs at a time — but with jobs > 1 the *completion order*
-  /// across cells is nondeterministic.
+  /// be empty. run_grid serializes it — at most one invocation runs at a
+  /// time — but with jobs > 1 the *completion order* across cells is
+  /// nondeterministic.
   std::function<void(ChainKind, FaultType, std::uint64_t /*seed*/,
                      const SensitivityRun&)>
       on_cell_done;
@@ -53,11 +52,14 @@ struct CampaignConfig {
   /// cells, cells/s and an ETA. Excluded from every deterministic
   /// serializer, like cell_wall_ms.
   bool heartbeat = false;
-
-  /// The effective seed list (explicit `seeds`, or `num_seeds` consecutive
-  /// seeds from base.seed).
-  [[nodiscard]] std::vector<std::uint64_t> seed_list() const;
 };
+
+/// The seeds a sweep runs: the explicit `seeds` when given, else
+/// max(num_seeds, 1) consecutive seeds from `first`. Campaign and
+/// mitigation configs both call it with (seeds, num_seeds, base.seed).
+std::vector<std::uint64_t> seed_list(const std::vector<std::uint64_t>& seeds,
+                                     std::size_t num_seeds,
+                                     std::uint64_t first);
 
 /// Per-cell aggregate over a seed sweep. The moment statistics cover the
 /// seeds with a *finite* score; seeds whose altered run lost liveness
@@ -115,9 +117,9 @@ struct CampaignResult {
   [[nodiscard]] std::string timing_table() const;
 };
 
-/// Run every (chain, fault, seed) cell of the matrix across `config.jobs`
-/// threads. Deterministic given the config: any jobs value produces
-/// byte-identical to_csv()/to_json() output.
+/// Run every (chain, fault, seed) cell of the matrix through run_grid on
+/// `config.jobs` lanes. Deterministic given the config: any jobs value
+/// produces byte-identical to_csv()/to_json() output.
 CampaignResult run_campaign(const CampaignConfig& config);
 
 /// CI gate: true when every cell satisfies the paper-shaped expectations
@@ -170,24 +172,23 @@ struct MitigationConfig {
   /// Fault dimensions to pair up. Defaults to the two the nversion design
   /// targets (process failures); any FaultType is accepted.
   std::vector<FaultType> faults{FaultType::kCrash, FaultType::kTransient};
-  /// Template applied to both twins of every pair.
+  /// Template applied to both twins of every pair; the unmitigated twin
+  /// of a matrix pair is paper_cell(base, chain, fault, seed).
   ExperimentConfig base{};
   std::vector<std::uint64_t> seeds{};
   std::size_t num_seeds = 1;
-  /// Adversarial chaos pairs per chain: schedule k of chain c is drawn
-  /// from Rng(base.seed).derive(c * 1'000'003 + k) with
-  /// adversarial_gen_for(base.duration) — the chaos campaign's stream
-  /// discipline — and both twins replay the identical schedule.
+  /// Adversarial chaos pairs per chain: pair k of chain c replays
+  /// draw_chaos_trial(Rng(base.seed), c, k, adversarial_gen_for(
+  /// base.duration)) — the chaos campaign's stream discipline — and both
+  /// twins replay the identical schedule.
   std::size_t chaos_pairs = 0;
   unsigned jobs = 1;
   MitigationLayers layers{};
   /// Invoked after each pair completes (progress reporting); serialized
-  /// behind a mutex, completion order nondeterministic for jobs > 1.
+  /// by run_grid, completion order nondeterministic for jobs > 1.
   std::function<void(const struct MitigationPair&)> on_pair_done;
   /// Wall-clock progress heartbeat on stderr (see CampaignConfig).
   bool heartbeat = false;
-
-  [[nodiscard]] std::vector<std::uint64_t> seed_list() const;
 };
 
 /// One matched baseline/mitigated cell pair: same chain family, same seed,
@@ -237,8 +238,9 @@ struct MitigationResult {
 ExperimentConfig mitigated_config(const ExperimentConfig& cell,
                                   const MitigationLayers& layers);
 
-/// Run the paired campaign across config.jobs threads. Deterministic:
-/// delta_csv()/to_json() are byte-identical for any jobs value.
+/// Run the paired campaign through run_grid on config.jobs lanes, both
+/// twins of a pair in one cell. Deterministic: delta_csv()/to_json() are
+/// byte-identical for any jobs value.
 MitigationResult run_mitigation_campaign(const MitigationConfig& config);
 
 }  // namespace stabl::core

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "core/json.hpp"
-#include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
 #include "core/serialize.hpp"
@@ -438,23 +437,29 @@ std::string ChaosCampaignResult::timing_table() const {
   return table.to_string();
 }
 
+ChaosTrial draw_chaos_trial(const sim::Rng& root, ChainKind chain,
+                            std::size_t k, const ChaosGenConfig& gen) {
+  sim::Rng rng = root.derive(static_cast<std::uint64_t>(chain) * 1'000'003ull +
+                             static_cast<std::uint64_t>(k));
+  ChaosTrial trial;
+  trial.chain = chain;
+  trial.trial = k;
+  trial.experiment_seed = rng.next_u64();
+  trial.schedule = generate_schedule(rng, gen);
+  return trial;
+}
+
 ExperimentConfig chaos_trial_config(const ChaosCampaignConfig& config,
                                     ChainKind chain,
                                     std::uint64_t experiment_seed,
                                     const FaultSchedule& schedule) {
-  ExperimentConfig cell = config.base;
-  cell.chain = chain;
-  cell.fault = FaultType::kNone;
+  // paper_cell detaches the template's sink/registry/recorder; the traced
+  // repro re-run attaches its own local sink.
+  ExperimentConfig cell =
+      paper_cell(config.base, chain, FaultType::kNone, experiment_seed);
   cell.fault_targets.clear();
   cell.extra_faults = schedule;
-  cell.seed = experiment_seed;
   cell.capture_replicas = true;
-  // Trials run concurrently; a sink/registry/recorder inherited from the
-  // template would race. The traced repro re-run attaches its own local
-  // sink.
-  cell.trace = nullptr;
-  cell.metrics = nullptr;
-  cell.lifecycle = nullptr;
   return cell;
 }
 
@@ -468,69 +473,65 @@ ChaosCampaignResult run_chaos_campaign(const ChaosCampaignConfig& config) {
     gen.entry_nodes = std::min(config.base.clients, config.base.n);
   }
 
+  struct TrialCell {
+    ChainKind chain;
+    std::size_t k;
+  };
+  std::vector<TrialCell> grid;
+  grid.reserve(config.chains.size() * config.trials_per_chain);
+  for (const ChainKind chain : config.chains) {
+    for (std::size_t k = 0; k < config.trials_per_chain; ++k) {
+      grid.push_back({chain, k});
+    }
+  }
+
   const sim::Rng root(config.seed);
-  const std::size_t total = config.chains.size() * config.trials_per_chain;
-  std::vector<ChaosTrial> slots(total);
-  Heartbeat heartbeat("chaos", total, config.heartbeat);
-  ThreadPool pool(config.jobs);
-  pool.parallel_for(total, [&](std::size_t index) {
-    const WallTimer trial_timer;
-    const ChainKind chain = config.chains[index / config.trials_per_chain];
-    const std::size_t k = index % config.trials_per_chain;
-    // The stream id encodes the chain's identity (not its list position),
-    // so reordering config.chains never changes a trial's schedule.
-    const std::uint64_t stream =
-        static_cast<std::uint64_t>(chain) * 1'000'003ull +
-        static_cast<std::uint64_t>(k);
-    sim::Rng rng = root.derive(stream);
+  GridResult<ChaosTrial> trials = run_grid(
+      grid, config.jobs, "chaos", config.heartbeat,
+      [&](const TrialCell& cell) {
+        ChaosTrial trial = draw_chaos_trial(root, cell.chain, cell.k, gen);
+        const ExperimentConfig run_cell = chaos_trial_config(
+            config, cell.chain, trial.experiment_seed, trial.schedule);
+        const ExperimentResult result = run_experiment(run_cell);
+        trial.report = check_invariants(make_oracle_context(run_cell), result,
+                                        config.oracle);
+        trial.submitted = result.submitted;
+        trial.committed = result.committed;
+        trial.live_at_end = result.live_at_end;
 
-    ChaosTrial trial;
-    trial.chain = chain;
-    trial.trial = k;
-    trial.experiment_seed = rng.next_u64();
-    trial.schedule = generate_schedule(rng, gen);
-
-    const ExperimentConfig cell = chaos_trial_config(
-        config, chain, trial.experiment_seed, trial.schedule);
-    const ExperimentResult result = run_experiment(cell);
-    trial.report =
-        check_invariants(make_oracle_context(cell), result, config.oracle);
-    trial.submitted = result.submitted;
-    trial.committed = result.committed;
-    trial.live_at_end = result.live_at_end;
-
-    if (config.shrink && trial.report.violated()) {
-      const auto evaluate = [&](const FaultSchedule& candidate) {
-        const ExperimentConfig candidate_cell = chaos_trial_config(
-            config, chain, trial.experiment_seed, candidate);
-        return check_invariants(make_oracle_context(candidate_cell),
-                                run_experiment(candidate_cell),
-                                config.oracle);
-      };
-      trial.shrunk =
-          shrink_schedule(trial.schedule, evaluate, config.shrink_options);
-    }
-    if (config.trace_repros && trial.report.violated()) {
-      // Re-run the minimal violating schedule with tracing on, so the
-      // repro ships with its timeline. A sink per worker: sinks are not
-      // shareable across concurrent runs.
-      const FaultSchedule& minimal = trial.shrunk.has_value()
-                                         ? trial.shrunk->schedule
-                                         : trial.schedule;
-      ExperimentConfig traced_cell = chaos_trial_config(
-          config, chain, trial.experiment_seed, minimal);
-      sim::TraceSink sink;
-      traced_cell.trace = &sink;
-      run_experiment(traced_cell);
-      trial.repro_trace = trace_to_json(sink);
-    }
-    trial.wall_ms = trial_timer.elapsed_ms();
-    slots[index] = std::move(trial);
-    heartbeat.tick();
-  });
+        if (config.shrink && trial.report.violated()) {
+          const auto evaluate = [&](const FaultSchedule& candidate) {
+            const ExperimentConfig candidate_cell = chaos_trial_config(
+                config, cell.chain, trial.experiment_seed, candidate);
+            return check_invariants(make_oracle_context(candidate_cell),
+                                    run_experiment(candidate_cell),
+                                    config.oracle);
+          };
+          trial.shrunk =
+              shrink_schedule(trial.schedule, evaluate, config.shrink_options);
+        }
+        if (config.trace_repros && trial.report.violated()) {
+          // Re-run the minimal violating schedule with tracing on, so the
+          // repro ships with its timeline. A sink per trial: sinks are not
+          // shareable across concurrent runs.
+          const FaultSchedule& minimal = trial.shrunk.has_value()
+                                             ? trial.shrunk->schedule
+                                             : trial.schedule;
+          ExperimentConfig traced_cell = chaos_trial_config(
+              config, cell.chain, trial.experiment_seed, minimal);
+          sim::TraceSink sink;
+          traced_cell.trace = &sink;
+          run_experiment(traced_cell);
+          trial.repro_trace = trace_to_json(sink);
+        }
+        return trial;
+      });
 
   ChaosCampaignResult result;
-  result.trials = std::move(slots);
+  result.trials = std::move(trials.slots);
+  for (std::size_t i = 0; i < result.trials.size(); ++i) {
+    result.trials[i].wall_ms = trials.wall_ms[i];
+  }
   return result;
 }
 

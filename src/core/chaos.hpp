@@ -8,11 +8,11 @@
 // invariant oracles (core/oracle.hpp), and — when an oracle fires — delta-
 // debugs the schedule down to a minimal repro, emitted as replayable JSON.
 //
-// Determinism discipline: a campaign trial draws everything from
-// root.derive(stream) where stream encodes (chain, trial), so the same
-// (chain, seed) always yields the byte-identical schedule and verdict
-// regardless of how many jobs execute the campaign or in which order
-// trials complete.
+// Determinism discipline: a campaign trial draws everything through
+// draw_chaos_trial from root.derive(stream), where stream encodes (chain,
+// trial), and trials fan out through core::run_grid (DESIGN.md §9). The
+// same (chain, seed) therefore always yields the byte-identical schedule
+// and verdict, however many jobs execute the campaign.
 #pragma once
 
 #include <cstdint>
@@ -192,17 +192,27 @@ struct ChaosCampaignResult {
   [[nodiscard]] std::string timing_table() const;
 };
 
-/// The ExperimentConfig a chaos trial runs: base with the chain set, the
-/// primary fault disabled (the schedule carries every plan), the sampled
-/// schedule in extra_faults and replica capture forced on.
+/// Trial k of `chain` in a campaign rooted at `root`, drawn but not run:
+/// chain, trial, experiment_seed and schedule set. The first next_u64() of
+/// root.derive(chain * 1'000'003 + k) seeds the experiment, then
+/// generate_schedule(gen) draws from the same stream. The stream encodes
+/// the chain, not its list position, so reordering chains never changes a
+/// trial. Chaos trials and mitigation chaos pairs both draw here.
+ChaosTrial draw_chaos_trial(const sim::Rng& root, ChainKind chain,
+                            std::size_t k, const ChaosGenConfig& gen);
+
+/// The ExperimentConfig a chaos trial runs: paper_cell(base, chain, kNone,
+/// experiment_seed) with the primary fault's targets cleared (the schedule
+/// carries every plan), the sampled schedule in extra_faults and replica
+/// capture forced on.
 ExperimentConfig chaos_trial_config(const ChaosCampaignConfig& config,
                                     ChainKind chain,
                                     std::uint64_t experiment_seed,
                                     const FaultSchedule& schedule);
 
-/// Run trials_per_chain randomized schedules against every chain, fanned
-/// across config.jobs threads into index-addressed slots: byte-identical
-/// output for any jobs value.
+/// Run trials_per_chain randomized schedules against every chain through
+/// run_grid on config.jobs lanes: byte-identical output for any jobs
+/// value.
 ChaosCampaignResult run_chaos_campaign(const ChaosCampaignConfig& config);
 
 }  // namespace stabl::core

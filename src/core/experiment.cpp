@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "chains/algorand/algorand.hpp"
@@ -23,40 +24,6 @@
 namespace stabl::core {
 namespace {
 
-/// The legacy ChainTuning knobs, mapped onto registry parameter keys. Each
-/// knob only applies when the chain actually declares its key, which
-/// preserves the old semantics exactly: a Solana tuning on a Redbelly run
-/// is silently ignored, as the per-chain switch used to do.
-void apply_legacy_tuning(const ChainTuning& tuning,
-                         chain::ChainParams& params) {
-  const auto set = [&params](const char* key, double value) {
-    const auto it = params.find(key);
-    if (it != params.end()) it->second = value;
-  };
-  if (tuning.avalanche_throttling.has_value()) {
-    set("throttling", *tuning.avalanche_throttling ? 1.0 : 0.0);
-  }
-  if (tuning.avalanche_cpu_target.has_value()) {
-    set("cpu_target", *tuning.avalanche_cpu_target);
-  }
-  if (tuning.solana_warmup_epochs.has_value()) {
-    set("warmup_epochs", *tuning.solana_warmup_epochs ? 1.0 : 0.0);
-  }
-  if (tuning.redbelly_max_idle_s.has_value()) {
-    set("max_idle_s", *tuning.redbelly_max_idle_s);
-  }
-}
-
-/// The merged parameter map the cluster factory and any chain services
-/// see: declared defaults, scenario overrides, then legacy tuning.
-chain::ChainParams merged_chain_params(const ExperimentConfig& config) {
-  const chain::ChainTraits& traits = chain_traits(config.chain);
-  chain::ChainParams params =
-      chain::merge_params(traits, config.chain_params);
-  apply_legacy_tuning(config.tuning, params);
-  return params;
-}
-
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_chain_nodes(
     const ExperimentConfig& config, sim::Simulation& simulation,
     net::Network& network) {
@@ -66,7 +33,7 @@ std::vector<std::unique_ptr<chain::BlockchainNode>> make_chain_nodes(
   node_config.network_seed = chain::mix64(config.seed);
   const chain::ChainTraits& traits = chain_traits(config.chain);
   return traits.make_cluster(simulation, network, node_config,
-                             merged_chain_params(config));
+                             chain::merge_params(traits, config.chain_params));
 }
 
 /// Paper default fault size: t for crash-style faults, t+1 for the
@@ -332,7 +299,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       services = traits.make_services(
           simulation, node_ptrs,
           static_cast<sim::ProcessId>(config.n + config.clients),
-          merged_chain_params(config));
+          chain::merge_params(traits, config.chain_params));
     }
   }
   for (auto& service : services) service->start();
@@ -505,6 +472,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     config.metrics->detach_probes();
   }
   return result;
+}
+
+ExperimentConfig paper_cell(const ExperimentConfig& base, ChainKind chain,
+                            FaultType fault, std::uint64_t seed) {
+  ExperimentConfig cell = base;
+  cell.chain = chain;
+  cell.fault = fault;
+  cell.seed = seed;
+  if (fault == FaultType::kSecureClient) {
+    cell.client_fanout = 4;
+    cell.vcpus = 8.0;
+  }
+  cell.trace = nullptr;
+  cell.metrics = nullptr;
+  cell.lifecycle = nullptr;
+  return cell;
 }
 
 ExperimentConfig baseline_of(const ExperimentConfig& altered_config) {

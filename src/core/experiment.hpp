@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,19 +82,6 @@ std::string to_string(ChainKind chain);
 /// Redbelly and Solana tolerate less than a third (⌈n/3-1⌉). Paper §2.
 std::size_t fault_tolerance(ChainKind chain, std::size_t n);
 
-/// Chain-specific knobs exposed for the ablation benches.
-struct ChainTuning {
-  /// Avalanche: disable the InboundMsgThrottler (shows the collapse is
-  /// throttling-induced).
-  std::optional<bool> avalanche_throttling;
-  /// Avalanche: override the CPU quota target.
-  std::optional<double> avalanche_cpu_target;
-  /// Solana: disable warm-up epochs (the ≥360-slots-per-epoch fix).
-  std::optional<bool> solana_warmup_epochs;
-  /// Redbelly: MaxIdleTime in seconds (developers suggested 30 s).
-  std::optional<double> redbelly_max_idle_s;
-};
-
 struct ExperimentConfig {
   ChainKind chain = ChainKind::kRedbelly;
   std::size_t n = 10;
@@ -143,13 +129,10 @@ struct ExperimentConfig {
   /// (rotated so client i starts at entry node i) and client_fanout is
   /// ignored — submissions go to one endpoint at a time.
   ResilienceConfig resilience{};
-  ChainTuning tuning{};
-  /// Generic per-chain parameter overrides, merged over the chain's
-  /// registered defaults (chain::ChainTraits::default_params). Strict: a
-  /// key the chain did not declare throws std::invalid_argument. The
-  /// legacy `tuning` knobs are applied on top, preserving their
-  /// ignored-on-other-chains semantics. Scenario files (core/scenario.hpp)
-  /// populate this.
+  /// Per-chain parameter overrides, merged over the chain's registered
+  /// defaults (chain::ChainTraits::default_params). Strict: a key the
+  /// chain did not declare throws std::invalid_argument. Scenario files
+  /// (core/scenario.hpp) and the ablation benches populate this.
   chain::ChainParams chain_params{};
   /// Submission shape (average rate stays tps_per_client). The paper uses
   /// the constant shape; the others quantify its §8 limitation.
@@ -243,6 +226,16 @@ ExperimentResult run_experiment(const ExperimentConfig& config);
 /// invariant oracles call this to learn exactly which windows and targets
 /// a run was subjected to.
 FaultSchedule resolved_schedule(const ExperimentConfig& config);
+
+/// One cell of the paper's grid: `base` with chain, fault and seed set.
+/// The secure-client fault gets the §7 geometry (t_B+1 = 4 endpoints and
+/// 8-vCPU VMs). The trace, metrics and lifecycle pointers are detached,
+/// because cells run concurrently and a sink shared through `base` would
+/// race. The one place the paper's cell rule is written down: every
+/// campaign runner, the scenario resolver and the figure benches build
+/// their cells here.
+ExperimentConfig paper_cell(const ExperimentConfig& base, ChainKind chain,
+                            FaultType fault, std::uint64_t seed);
 
 /// A baseline/altered pair and its sensitivity score. The baseline is the
 /// altered config with no fault and fanout 1 (same chain, same resources,

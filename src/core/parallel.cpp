@@ -143,4 +143,27 @@ void ThreadPool::parallel_for(std::size_t count,
   }
 }
 
+std::vector<double> run_grid_indexed(
+    std::size_t count, unsigned jobs, const std::string& label,
+    bool heartbeat, const std::function<void(std::size_t)>& run_cell,
+    const std::function<void(std::size_t)>& on_done) {
+  std::vector<double> wall_ms(count, 0.0);
+  std::mutex progress_mutex;
+  Heartbeat beat(label, count, heartbeat);
+  ThreadPool pool(jobs);
+  pool.parallel_for(count, [&](std::size_t i) {
+    const auto start = std::chrono::steady_clock::now();
+    run_cell(i);
+    wall_ms[i] = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    {
+      std::lock_guard<std::mutex> lock(progress_mutex);
+      on_done(i);
+    }
+    beat.tick();
+  });
+  return wall_ms;
+}
+
 }  // namespace stabl::core

@@ -1,10 +1,10 @@
-// A small work-stealing-free thread pool for embarrassingly parallel cell
-// grids (the campaign's chain x fault x seed matrix). Workers pull indexes
-// from one shared cursor — no per-worker deques, no stealing — and the
-// caller participates as a lane, so `jobs = 1` spawns no threads and is
-// exactly the serial loop. Results must be written into pre-sized,
-// index-addressed slots by the body; gathering by index is what keeps
-// parallel output byte-identical to serial output.
+// `run_grid`, the one deterministic fan-out for cell grids (campaign
+// cells, mitigation pairs, chaos trials, attribution twins; DESIGN.md §9),
+// over a small work-stealing-free thread pool. Workers pull indexes from
+// one shared cursor and the caller participates as a lane, so `jobs = 1`
+// spawns no threads and is exactly the serial loop. Each cell writes only
+// its own index-addressed slot; gathering by index is what keeps parallel
+// output byte-identical to serial output.
 #pragma once
 
 #include <chrono>
@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace stabl::core {
@@ -97,5 +98,47 @@ class ThreadPool {
   bool failed_ = false;         // short-circuits remaining indexes
   std::exception_ptr error_;
 };
+
+/// What run_grid hands back: one result per cell, in cell order.
+template <typename Result>
+struct GridResult {
+  /// slots[i] is fn(cells[i]).
+  std::vector<Result> slots;
+  /// Wall-clock milliseconds fn(cells[i]) took. Harness profiling only:
+  /// machine- and jobs-dependent, so never part of a deterministic
+  /// serializer.
+  std::vector<double> wall_ms;
+};
+
+/// Untyped core of run_grid: run_cell(i) for every i in [0, count), then
+/// on_done(i) behind one mutex; returns each run_cell(i)'s wall-clock ms.
+std::vector<double> run_grid_indexed(
+    std::size_t count, unsigned jobs, const std::string& label,
+    bool heartbeat, const std::function<void(std::size_t)>& run_cell,
+    const std::function<void(std::size_t)>& on_done);
+
+/// Evaluate fn(cell) for every cell on `jobs` lanes and return the results
+/// in cell order, whatever order the cells finish in. on_done(cell,
+/// result), when set, runs once per finished cell, never concurrently,
+/// in completion order. `label` names the stderr Heartbeat, enabled by
+/// `heartbeat`. The first exception thrown by fn is rethrown here. The
+/// only code that builds a ThreadPool.
+template <typename Cell, typename Fn,
+          typename Result = std::decay_t<std::invoke_result_t<Fn&, const Cell&>>>
+GridResult<Result> run_grid(
+    const std::vector<Cell>& cells, unsigned jobs, const std::string& label,
+    bool heartbeat, Fn&& fn,
+    const std::type_identity_t<std::function<void(const Cell&, const Result&)>>&
+        on_done = {}) {
+  GridResult<Result> grid;
+  grid.slots.resize(cells.size());
+  grid.wall_ms = run_grid_indexed(
+      cells.size(), jobs, label, heartbeat,
+      [&](std::size_t i) { grid.slots[i] = fn(cells[i]); },
+      [&](std::size_t i) {
+        if (on_done) on_done(cells[i], grid.slots[i]);
+      });
+  return grid;
+}
 
 }  // namespace stabl::core

@@ -573,11 +573,10 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   config.resilience.hedge.min_delay = sim::seconds(spec.hedge_min_delay_s);
   config.resilience.hedge.max_delay = sim::seconds(spec.hedge_max_delay_s);
   config.resilience.score.enabled = spec.endpoint_scoring;
-  // The §7 secure-client geometry: t_B+1 = 4 endpoints, 8-vCPU VMs.
+  // The §7 secure-client geometry, unless the spec chose its own fanout.
   if (config.fault == FaultType::kSecureClient &&
       config.client_fanout == 1) {
-    config.client_fanout = 4;
-    config.vcpus = 8.0;
+    config = paper_cell(config, config.chain, config.fault, config.seed);
   }
 
   resolved.num_seeds = static_cast<std::size_t>(spec.num_seeds);

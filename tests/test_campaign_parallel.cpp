@@ -1,18 +1,28 @@
 // Tests for the parallel campaign engine: the work-stealing-free thread
-// pool, byte-identical serial-vs-parallel campaign output, seed-sweep
-// aggregation, worst-seed gating, and EventQueue bookkeeping when a
-// simulation is constructed per worker thread.
+// pool, the run_grid fan-out every campaign runner shares, the paper_cell
+// rule they all build cells with, byte-identical serial-vs-parallel
+// campaign output, seed-sweep aggregation, worst-seed gating, and
+// EventQueue bookkeeping when a simulation is constructed per worker
+// thread.
 #include "core/campaign.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/attribution.hpp"
+#include "core/metrics.hpp"
 #include "core/parallel.hpp"
+#include "core/serialize.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/lifecycle.hpp"
+#include "sim/trace.hpp"
 
 namespace stabl::core {
 namespace {
@@ -77,6 +87,171 @@ TEST(ThreadPool, ClampsZeroJobsToOne) {
   std::atomic<int> ran{0};
   pool.parallel_for(3, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 3);
+}
+
+// --------------------------------------------------------------- run_grid
+
+TEST(RunGrid, SlotsComeBackInCellOrderAtAnyJobs) {
+  const std::vector<int> cells{0, 1, 2, 3, 4, 5, 6, 7};
+  for (const unsigned jobs : {1u, 4u}) {
+    std::mutex mutex;
+    std::vector<int> finished;
+    std::atomic<bool> later_finished{false};
+    const GridResult<int> grid = run_grid(
+        cells, jobs, "test", false, [&](const int& cell) {
+          // With several lanes, cell 0 is held until a later cell has
+          // finished, so completion order differs from cell order.
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (cell == 0 && jobs > 1 && !later_finished.load() &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            finished.push_back(cell);
+          }
+          if (cell != 0) later_finished.store(true);
+          return cell * 10;
+        });
+    EXPECT_EQ(grid.slots, (std::vector<int>{0, 10, 20, 30, 40, 50, 60, 70}))
+        << "jobs " << jobs;
+    EXPECT_EQ(grid.wall_ms.size(), cells.size());
+    ASSERT_EQ(finished.size(), cells.size());
+    if (jobs == 1) {
+      EXPECT_EQ(finished, cells);
+    } else {
+      EXPECT_NE(finished.front(), 0) << "a later cell finishes first";
+    }
+  }
+}
+
+TEST(RunGrid, RethrowsTheFirstException) {
+  const std::vector<int> cells{0, 1, 2, 3, 4, 5, 6, 7};
+  const auto fn = [](const int& cell) {
+    if (cell == 3 || cell == 5) {
+      throw std::runtime_error("cell " + std::to_string(cell));
+    }
+    return cell;
+  };
+  try {
+    run_grid(cells, 1, "test", false, fn);
+    FAIL() << "run_grid must rethrow";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()), "cell 3");
+  }
+  EXPECT_THROW(run_grid(cells, 4, "test", false, fn), std::runtime_error);
+}
+
+TEST(RunGrid, OnDoneOncePerCellNeverConcurrently) {
+  std::vector<std::size_t> cells(64);
+  for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
+  std::vector<int> calls(cells.size(), 0);
+  std::atomic<int> inside{0};
+  const GridResult<std::size_t> grid = run_grid(
+      cells, 4, "test", false, [](const std::size_t& cell) { return cell; },
+      [&](const std::size_t& cell, const std::size_t& result) {
+        EXPECT_EQ(inside.fetch_add(1), 0) << "on_done must be serialized";
+        EXPECT_EQ(result, cell);
+        ++calls[cell];
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        inside.fetch_sub(1);
+      });
+  EXPECT_EQ(grid.slots, cells);
+  for (const int count : calls) EXPECT_EQ(count, 1);
+}
+
+// ------------------------------------------------------------ paper_cell
+
+TEST(PaperCell, SecureClientGetsSection7GeometryAndDetachedObservers) {
+  sim::TraceSink sink;
+  MetricsRegistry registry;
+  sim::LifecycleRecorder recorder;
+  ExperimentConfig base;
+  base.trace = &sink;
+  base.metrics = &registry;
+  base.lifecycle = &recorder;
+
+  const ExperimentConfig secure =
+      paper_cell(base, ChainKind::kAptos, FaultType::kSecureClient, 7);
+  EXPECT_EQ(secure.chain, ChainKind::kAptos);
+  EXPECT_EQ(secure.fault, FaultType::kSecureClient);
+  EXPECT_EQ(secure.seed, 7u);
+  EXPECT_EQ(secure.client_fanout, 4);
+  EXPECT_EQ(secure.vcpus, 8.0);
+  EXPECT_EQ(secure.trace, nullptr);
+  EXPECT_EQ(secure.metrics, nullptr);
+  EXPECT_EQ(secure.lifecycle, nullptr);
+
+  const ExperimentConfig crash =
+      paper_cell(base, ChainKind::kAptos, FaultType::kCrash, 7);
+  EXPECT_EQ(crash.client_fanout, base.client_fanout);
+  EXPECT_EQ(crash.vcpus, base.vcpus);
+  EXPECT_EQ(crash.trace, nullptr);
+}
+
+// Campaign, mitigation (unmitigated twin) and attribution (altered twin)
+// must all run paper_cell's config for the same (chain, secure-client,
+// seed): their reports match a direct run of that config, and the
+// observers attached to the shared template never see an event.
+TEST(PaperCell, EveryRunnerRunsTheSameSecureClientCell) {
+  sim::TraceSink sink;
+  MetricsRegistry registry;
+  ExperimentConfig base;
+  base.duration = sim::sec(30);
+  base.inject_at = sim::sec(10);
+  base.recover_at = sim::sec(20);
+  base.trace = &sink;
+  base.metrics = &registry;
+  const ChainKind chain = ChainKind::kRedbelly;
+  const FaultType fault = FaultType::kSecureClient;
+
+  const ExperimentConfig cell = paper_cell(base, chain, fault, base.seed);
+  const SensitivityRun expected = run_sensitivity(cell);
+  const std::string expected_json = to_json(chain, fault, expected);
+
+  // The §7 geometry is what makes the cell: the one-node client differs.
+  ExperimentConfig one_node = cell;
+  one_node.client_fanout = 1;
+  one_node.vcpus = 4.0;
+  EXPECT_NE(run_experiment(one_node).mean_latency_s,
+            expected.altered.mean_latency_s);
+
+  CampaignConfig campaign;
+  campaign.chains = {chain};
+  campaign.faults = {fault};
+  campaign.base = base;
+  const CampaignResult campaign_result = run_campaign(campaign);
+  ASSERT_NE(campaign_result.get(chain, fault), nullptr);
+  EXPECT_EQ(to_json(chain, fault, *campaign_result.get(chain, fault)),
+            expected_json);
+
+  MitigationConfig mitigation;
+  mitigation.chains = {chain};
+  mitigation.faults = {fault};
+  mitigation.base = base;
+  mitigation.layers = {false, false, false};
+  const MitigationResult mitigation_result =
+      run_mitigation_campaign(mitigation);
+  ASSERT_EQ(mitigation_result.pairs.size(), 1u);
+  EXPECT_EQ(to_json(chain, fault, mitigation_result.pairs[0].unmitigated),
+            expected_json);
+
+  AttributionConfig attribution;
+  attribution.chains = {chain};
+  attribution.faults = {fault};
+  attribution.base = base;
+  const AttributionReport report = run_attribution(attribution);
+  ASSERT_EQ(report.cells.size(), 1u);
+  const AttributionCell& attributed = report.cells[0];
+  EXPECT_EQ(attributed.seed, cell.seed);
+  EXPECT_EQ(format_score(attributed.score), format_score(expected.score));
+  EXPECT_EQ(attributed.altered_live_at_end, expected.altered.live_at_end);
+  EXPECT_EQ(attributed.measured_latency_delta_s,
+            expected.altered.mean_latency_s - expected.baseline.mean_latency_s);
+
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_TRUE(registry.sample_times().empty());
 }
 
 // ------------------------------------------- EventQueue per worker thread
@@ -185,11 +360,13 @@ TEST(CampaignSweep, ExplicitSeedListWinsOverNumSeeds) {
   CampaignConfig config;
   config.seeds = {7, 99, 3};
   config.num_seeds = 10;
-  EXPECT_EQ(config.seed_list(), (std::vector<std::uint64_t>{7, 99, 3}));
+  EXPECT_EQ(seed_list(config.seeds, config.num_seeds, config.base.seed),
+            (std::vector<std::uint64_t>{7, 99, 3}));
   config.seeds.clear();
   config.num_seeds = 3;
   config.base.seed = 5;
-  EXPECT_EQ(config.seed_list(), (std::vector<std::uint64_t>{5, 6, 7}));
+  EXPECT_EQ(seed_list(config.seeds, config.num_seeds, config.base.seed),
+            (std::vector<std::uint64_t>{5, 6, 7}));
 }
 
 TEST(AggregateSeedSweep, StatsOverFiniteScoresOnly) {
