@@ -29,11 +29,8 @@ inline long bench_duration_s() {
 
 inline core::ExperimentConfig paper_config(core::ChainKind chain,
                                            core::FaultType fault) {
-  const long duration = bench_duration_s();
   core::ExperimentConfig base;
-  base.duration = sim::sec(duration);
-  base.inject_at = sim::sec(duration / 3);
-  base.recover_at = sim::sec(2 * duration / 3);
+  core::apply_run_window(base, bench_duration_s());
   return core::paper_cell(base, chain, fault, 42);
 }
 

@@ -7,7 +7,7 @@
 // that typically benefits from such optimizations". This bench builds that
 // hierarchical structure (3 dedicated relays) and measures the secure
 // client's effect in both deployments.
-#include <benchmark/benchmark.h>
+#include "bench_common.hpp"
 
 #include <cstdio>
 #include <map>
@@ -28,21 +28,13 @@ struct Outcome {
   std::uint64_t committed = 0;
 };
 
-long duration_s() {
-  if (const char* env = std::getenv("STABL_BENCH_DURATION")) {
-    const long v = std::atol(env);
-    if (v >= 30) return v;
-  }
-  return 400;
-}
-
 Outcome& run(std::size_t relays, int fanout) {
   static std::map<std::pair<std::size_t, int>, Outcome> cache;
   const auto key = std::make_pair(relays, fanout);
   auto it = cache.find(key);
   if (it != cache.end()) return it->second;
 
-  const long duration = duration_s();
+  const long duration = bench::bench_duration_s();
   sim::Simulation simulation(42);
   net::Network network(simulation, net::LatencyConfig{});
   algorand::AlgorandConfig config;

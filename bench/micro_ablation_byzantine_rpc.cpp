@@ -4,7 +4,7 @@
 // fully deceived; the paper's wait-for-all secure client and the
 // credence.js-style matching client both survive — at different latency
 // costs.
-#include <benchmark/benchmark.h>
+#include "bench_common.hpp"
 
 #include <cstdio>
 #include <map>
@@ -25,14 +25,6 @@ struct Outcome {
   std::uint64_t deceived = 0;
   double mean_latency = 0.0;
 };
-
-long duration_s() {
-  if (const char* env = std::getenv("STABL_BENCH_DURATION")) {
-    const long v = std::atol(env);
-    if (v >= 30) return v;
-  }
-  return 400;
-}
 
 /// mode: 0 = naive single-node client on the liar; 1 = wait-for-all on 4
 /// nodes incl. the liar; 2 = 3-matching verified client on the same 4.
@@ -55,7 +47,7 @@ Outcome& run(int mode) {
   config.account = 0;
   config.recipient = 999;
   config.tps = 40.0;
-  config.stop_at = sim::sec(duration_s());
+  config.stop_at = sim::sec(bench::bench_duration_s());
   config.tx_seed = chain::mix64(42 ^ 0xC11E57ull);
   switch (mode) {
     case 0:
@@ -71,7 +63,7 @@ Outcome& run(int mode) {
   }
   core::ClientMachine client(simulation, network, config);
   client.start();
-  simulation.run_until(sim::sec(duration_s()));
+  simulation.run_until(sim::sec(bench::bench_duration_s()));
 
   Outcome outcome;
   outcome.accepted = client.committed();

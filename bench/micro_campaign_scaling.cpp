@@ -24,11 +24,8 @@ using namespace stabl;
 const std::vector<unsigned> kJobSettings = {1, 2, 4, 8};
 
 core::CampaignConfig matrix_config(unsigned jobs) {
-  const long duration = bench::bench_duration_s();
   core::CampaignConfig config;
-  config.base.duration = sim::sec(duration);
-  config.base.inject_at = sim::sec(duration / 3);
-  config.base.recover_at = sim::sec(2 * duration / 3);
+  core::apply_run_window(config.base, bench::bench_duration_s());
   config.jobs = jobs;
   return config;
 }

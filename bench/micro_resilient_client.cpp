@@ -32,7 +32,7 @@ std::vector<Scenario> scenarios() {
 
   Scenario loss{"40% loss, 2 entry nodes", base(core::FaultType::kLoss)};
   loss.config.fault_targets = {0, 1};
-  loss.config.loss_probability = 0.4;
+  loss.config.fault_params.loss_probability = 0.4;
 
   // Composed: the crash plus packet loss on the next entry node over,
   // overlapping for the middle third of the run.
@@ -41,7 +41,7 @@ std::vector<Scenario> scenarios() {
   core::FaultPlan extra;
   extra.type = core::FaultType::kLoss;
   extra.targets = {1};
-  extra.loss_probability = 0.4;
+  extra.params.loss_probability = 0.4;
   extra.inject_at = composed.config.inject_at;
   extra.recover_at = composed.config.recover_at;
   composed.config.extra_faults.add(extra);

@@ -72,11 +72,9 @@ int main() {
     core::ExperimentConfig base;
     base.chain = chain;
     base.fault = core::FaultType::kCrash;
-    base.duration = sim::sec(duration_s);
     // Fault window at the duration's integer thirds, exactly the
     // stabl_cli/scenario resolution, so short bench runs still inject.
-    base.inject_at = sim::sec(duration_s / 3);
-    base.recover_at = sim::sec(2 * duration_s / 3);
+    core::apply_run_window(base, duration_s);
     const core::SensitivityRun unmitigated = core::run_sensitivity(base);
     csv += core::csv_join({core::to_string(chain), "unmitigated",
                            score_text(unmitigated.score), "0"}) +

@@ -24,8 +24,8 @@
 // DIR) from overwriting each other — each next to a Perfetto timeline of
 // the minimized repro run at the same stem with .trace.json
 // (ui.perfetto.dev).
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -96,22 +96,27 @@ int main(int argc, char** argv) {
       config.chains = cli::parse_chain_list_or_exit(value(), argv[0],
                                                     cli::help_hint(argv[0]));
     } else if (arg == "--trials") {
-      const long trials = std::atol(value().c_str());
+      const std::int64_t trials = cli::integer_or_exit(argv[0], arg, value());
       if (trials < 1) {
         cli::fail(argv[0], "--trials must be >= 1", cli::help_hint(argv[0]));
       }
       config.trials_per_chain = static_cast<std::size_t>(trials);
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(value().c_str(), nullptr, 10);
+      const std::int64_t seed = cli::integer_or_exit(argv[0], arg, value());
+      if (seed < 0) {
+        cli::fail(argv[0], "--seed must be >= 0", cli::help_hint(argv[0]));
+      }
+      config.seed = static_cast<std::uint64_t>(seed);
     } else if (arg == "--duration") {
-      const long duration_s = std::atol(value().c_str());
+      const std::int64_t duration_s =
+          cli::integer_or_exit(argv[0], arg, value());
       if (duration_s < 30) {
         cli::fail(argv[0], "--duration must be >= 30",
                   cli::help_hint(argv[0]));
       }
       config.base.duration = sim::sec(duration_s);
     } else if (arg == "--jobs") {
-      const long jobs = std::atol(value().c_str());
+      const std::int64_t jobs = cli::integer_or_exit(argv[0], arg, value());
       if (jobs < 1) {
         cli::fail(argv[0], "--jobs must be >= 1", cli::help_hint(argv[0]));
       }

@@ -1,10 +1,11 @@
 // cli_common — flag-parsing helpers shared by the example drivers
 // (stabl_cli, regression_gate, partition_study, chaos_hunt).
 //
-// Chain and fault names resolve through the registry
-// (core::parse_chain_name / core::fault_from_name), so every driver gets
-// case-insensitive matching and error messages that list the valid names,
-// and a newly linked chain plugin is accepted everywhere at once.
+// Chain names resolve through the registry (core::parse_chain_name), so
+// every driver gets case-insensitive matching and error messages that list
+// the valid names, and a newly linked chain plugin is accepted everywhere
+// at once. Numeric flag values follow the scenario reader's rules
+// (core::parse_number_text / parse_integer_text).
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/fault.hpp"
+#include "core/scenario.hpp"
 
 namespace stabl::cli {
 
@@ -52,18 +53,6 @@ inline core::ChainKind parse_chain_or_exit(const std::string& name,
   }
 }
 
-/// Fault-type lookup, case-insensitive; exits 2 listing the valid names
-/// when unknown.
-inline core::FaultType parse_fault_or_exit(const std::string& name,
-                                           const char* argv0,
-                                           const std::string& hint = {}) {
-  try {
-    return core::fault_from_name(name);
-  } catch (const std::invalid_argument& error) {
-    fail(argv0, error.what(), hint);
-  }
-}
-
 /// Comma-separated chain names ("redbelly,solana"); exits 2 on an unknown
 /// name or an empty list.
 inline std::vector<core::ChainKind> parse_chain_list_or_exit(
@@ -85,34 +74,26 @@ inline std::vector<core::ChainKind> parse_chain_list_or_exit(
   return chains;
 }
 
-/// Comma-separated node ids ("0,1"); exits 2 on an empty list or an empty
-/// token. `flag` names the flag in the error message.
-inline std::vector<net::NodeId> parse_node_ids_or_exit(
-    const std::string& list, const char* argv0, const std::string& flag,
-    const std::string& hint = {}) {
-  std::vector<net::NodeId> ids;
-  for (std::size_t pos = 0; pos < list.size();) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string token =
-        list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    if (token.empty()) fail(argv0, flag + " has an empty id", hint);
-    ids.push_back(
-        static_cast<net::NodeId>(std::strtoul(token.c_str(), nullptr, 10)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+/// A flag's number under the scenario reader's rule: the whole token is
+/// one finite number ("12abc", "" and "nan" exit 2).
+inline double number_or_exit(const char* argv0, const std::string& flag,
+                             const std::string& text) {
+  try {
+    return core::parse_number_text(text, flag);
+  } catch (const std::invalid_argument& error) {
+    fail(argv0, error.what(), help_hint(argv0));
   }
-  if (ids.empty()) fail(argv0, flag + " needs at least one id", hint);
-  return ids;
 }
 
-/// The paper's run geometry for a given duration: faults hit at the first
-/// integer third and clear at the second (400 s keeps 133 s / 266 s).
-inline void apply_run_window(core::ExperimentConfig& config,
-                             long duration_s) {
-  config.duration = sim::sec(duration_s);
-  config.inject_at = sim::sec(duration_s / 3);
-  config.recover_at = sim::sec(2 * duration_s / 3);
+/// As number_or_exit, for an integer (|value| <= 9e15).
+inline std::int64_t integer_or_exit(const char* argv0,
+                                    const std::string& flag,
+                                    const std::string& text) {
+  try {
+    return core::parse_integer_text(text, flag);
+  } catch (const std::invalid_argument& error) {
+    fail(argv0, error.what(), help_hint(argv0));
+  }
 }
 
 /// Writes `body` to `path`, exiting 1 on I/O failure. The harness's output

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   core::ExperimentConfig config;
   config.chain = chain;
-  cli::apply_run_window(config, duration);
+  core::apply_run_window(config, duration);
 
   std::printf("=== %s: partition of f=t+1 nodes, %lds run ===\n",
               core::to_string(chain).c_str(), duration);

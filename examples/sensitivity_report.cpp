@@ -22,9 +22,7 @@ int main(int argc, char** argv) {
 
   core::CampaignConfig campaign;
   campaign.base.seed = seed;
-  campaign.base.duration = sim::sec(duration_s);
-  campaign.base.inject_at = sim::sec(duration_s / 3);
-  campaign.base.recover_at = sim::sec(2 * duration_s / 3);
+  core::apply_run_window(campaign.base, duration_s);
   campaign.jobs = core::default_jobs();
   const core::CampaignResult result = core::run_campaign(campaign);
 

@@ -285,6 +285,68 @@ void print_workload_list() {
   cli::fail(argv0, message, cli::help_hint(argv0));
 }
 
+std::string chain_name(const std::string& name) {
+  return core::to_string(core::parse_chain_name(name));
+}
+
+std::string fault_name(const std::string& name) {
+  return core::to_string(core::fault_from_name(name));
+}
+
+/// A flag that sets one scenario key (core/scenario.hpp). Its value goes
+/// through core::set_scenario_key, the parser the file key uses.
+struct ScenarioFlag {
+  const char* flag;
+  const char* key;
+  /// Switches take no value and set the key to this text.
+  const char* switch_value = nullptr;
+  /// Name flags dump the registry's spelling of the name; throws
+  /// std::invalid_argument listing the valid names.
+  std::string (*canonical)(const std::string&) = nullptr;
+};
+
+const ScenarioFlag kScenarioFlags[] = {
+    {"--chain", "chain", nullptr, chain_name},
+    {"--fault", "fault", nullptr, fault_name},
+    {"--duration", "duration_s"},
+    {"--seed", "seed"},
+    {"--seeds", "num_seeds"},
+    {"--jobs", "jobs"},
+    {"--fanout", "fanout"},
+    {"--matching", "matching"},
+    {"--vcpus", "vcpus"},
+    {"--workload", "workload"},
+    {"--traffic-preset", "traffic.preset"},
+    {"--fault-targets", "fault_targets"},
+    {"--extra-fault", "extra_faults", nullptr, fault_name},
+    {"--loss-prob", "loss_probability"},
+    {"--gray-delay", "gray_delay_s"},
+    {"--throttle-bps", "throttle_bytes_per_s"},
+    {"--eclipse-victim", "eclipse_victim"},
+    {"--eclipse-delay", "eclipse_delay_s"},
+    {"--eclipse-filter", "eclipse_filter"},
+    {"--resilient", "resilient", "true"},
+    {"--commit-timeout", "commit_timeout_s"},
+    {"--hedge", "hedge", "true"},
+    {"--hedge-percentile", "hedge_percentile"},
+    {"--hedge-min", "hedge_min_delay_s"},
+    {"--hedge-max", "hedge_max_delay_s"},
+    {"--endpoint-scoring", "endpoint_scoring", "true"},
+    {"--chain-param", "chain_params"},
+    {"--chaos", "chaos_trials"},
+    {"--shrink", "shrink", "true"},
+    {"--chaos-adversarial", "chaos_adversarial", "true"},
+    {"--trace", "trace"},
+    {"--metrics", "metrics"},
+};
+
+const ScenarioFlag* find_scenario_flag(const std::string& arg) {
+  for (const ScenarioFlag& flag : kScenarioFlags) {
+    if (arg == flag.flag) return &flag;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -336,111 +398,11 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--dump-scenario") {
       dump_scenario = true;
-    } else if (arg == "--chain") {
-      experiment_flag();
-      chain_set = true;
-      spec.chain = core::to_string(
-          cli::parse_chain_or_exit(value(), argv[0], cli::help_hint(argv[0])));
-    } else if (arg == "--fault") {
-      experiment_flag();
-      fault_set = true;
-      spec.fault = core::to_string(
-          cli::parse_fault_or_exit(value(), argv[0], cli::help_hint(argv[0])));
-    } else if (arg == "--duration") {
-      experiment_flag();
-      spec.duration_s = std::atol(value().c_str());
-      if (spec.duration_s < 30) {
-        fail_usage(argv[0], "--duration must be >= 30");
-      }
-    } else if (arg == "--seed") {
-      experiment_flag();
-      spec.seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--seeds") {
-      experiment_flag();
-      spec.num_seeds = std::atol(value().c_str());
-      if (spec.num_seeds < 1) fail_usage(argv[0], "--seeds must be >= 1");
-    } else if (arg == "--jobs") {
-      experiment_flag();
-      spec.jobs = std::atol(value().c_str());
-      if (spec.jobs < 1) fail_usage(argv[0], "--jobs must be >= 1");
-    } else if (arg == "--fanout") {
-      experiment_flag();
-      spec.fanout = std::atoi(value().c_str());
-    } else if (arg == "--matching") {
-      experiment_flag();
-      spec.matching = std::atoi(value().c_str());
-    } else if (arg == "--vcpus") {
-      experiment_flag();
-      spec.vcpus = std::atof(value().c_str());
-    } else if (arg == "--workload") {
-      experiment_flag();
-      spec.workload = value();
-      try {
-        (void)core::parse_workload_shape(spec.workload);
-      } catch (const std::invalid_argument& error) {
-        fail_usage(argv[0], error.what());  // lists the valid shapes
-      }
-    } else if (arg == "--traffic-preset") {
-      experiment_flag();
-      spec.has_traffic = true;
-      spec.traffic.preset = value();
-      try {
-        (void)core::traffic_preset(spec.traffic.preset);
-      } catch (const std::invalid_argument& error) {
-        fail_usage(argv[0], error.what());  // lists the valid presets
-      }
     } else if (arg == "--format") {
       format = value();
       if (format != "text" && format != "csv" && format != "json") {
         fail_usage(argv[0], "unknown format '" + format + "'");
       }
-    } else if (arg == "--fault-targets") {
-      experiment_flag();
-      spec.fault_targets = cli::parse_node_ids_or_exit(
-          value(), argv[0], "--fault-targets", cli::help_hint(argv[0]));
-    } else if (arg == "--extra-fault") {
-      experiment_flag();
-      spec.extra_faults.push_back(core::to_string(
-          cli::parse_fault_or_exit(value(), argv[0], cli::help_hint(argv[0]))));
-    } else if (arg == "--loss-prob") {
-      experiment_flag();
-      spec.loss_probability = std::atof(value().c_str());
-    } else if (arg == "--gray-delay") {
-      experiment_flag();
-      spec.gray_delay_s = std::atof(value().c_str());
-    } else if (arg == "--throttle-bps") {
-      experiment_flag();
-      spec.throttle_bytes_per_s = std::atof(value().c_str());
-    } else if (arg == "--eclipse-victim") {
-      experiment_flag();
-      spec.eclipse_victim = std::atol(value().c_str());
-    } else if (arg == "--eclipse-delay") {
-      experiment_flag();
-      spec.eclipse_delay_s = std::atof(value().c_str());
-    } else if (arg == "--eclipse-filter") {
-      experiment_flag();
-      spec.eclipse_filter = std::atof(value().c_str());
-    } else if (arg == "--resilient") {
-      experiment_flag();
-      spec.resilient = true;
-    } else if (arg == "--commit-timeout") {
-      experiment_flag();
-      spec.commit_timeout_s = std::atof(value().c_str());
-    } else if (arg == "--hedge") {
-      experiment_flag();
-      spec.hedge = true;
-    } else if (arg == "--hedge-percentile") {
-      experiment_flag();
-      spec.hedge_percentile = std::atof(value().c_str());
-    } else if (arg == "--hedge-min") {
-      experiment_flag();
-      spec.hedge_min_delay_s = std::atof(value().c_str());
-    } else if (arg == "--hedge-max") {
-      experiment_flag();
-      spec.hedge_max_delay_s = std::atof(value().c_str());
-    } else if (arg == "--endpoint-scoring") {
-      experiment_flag();
-      spec.endpoint_scoring = true;
     } else if (arg == "--mitigation-study") {
       experiment_flag();
       mitigation_study = true;
@@ -449,15 +411,6 @@ int main(int argc, char** argv) {
       attribution = true;
     } else if (arg == "--heartbeat") {
       heartbeat = true;
-    } else if (arg == "--chain-param") {
-      experiment_flag();
-      const std::string assignment = value();
-      const std::size_t eq = assignment.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        fail_usage(argv[0], "--chain-param expects KEY=VALUE");
-      }
-      spec.chain_params[assignment.substr(0, eq)] =
-          std::atof(assignment.c_str() + eq + 1);
     } else if (arg == "--no-throttling") {
       experiment_flag();
       flag_no_throttling = true;
@@ -466,30 +419,28 @@ int main(int argc, char** argv) {
       flag_no_warmup_epochs = true;
     } else if (arg == "--max-idle") {
       experiment_flag();
-      flag_max_idle_s = std::atof(value().c_str());
-    } else if (arg == "--chaos") {
+      flag_max_idle_s = cli::number_or_exit(argv[0], arg, value());
+    } else if (const ScenarioFlag* flag = find_scenario_flag(arg)) {
       experiment_flag();
-      spec.chaos_trials = std::atol(value().c_str());
-      if (spec.chaos_trials < 1) {
+      chain_set = chain_set || arg == "--chain";
+      fault_set = fault_set || arg == "--fault";
+      const std::string text =
+          flag->switch_value != nullptr ? flag->switch_value : value();
+      try {
+        core::set_scenario_key(
+            spec, flag->key,
+            flag->canonical != nullptr ? flag->canonical(text) : text);
+      } catch (const std::invalid_argument& error) {
+        fail_usage(argv[0], arg + " " + text + ": " + error.what());
+      }
+      // Stricter than the schema: a flag that names a chaos campaign or
+      // an output file must not be a no-op.
+      if (arg == "--chaos" && spec.chaos_trials < 1) {
         fail_usage(argv[0], "--chaos must be >= 1");
       }
-    } else if (arg == "--shrink") {
-      experiment_flag();
-      spec.shrink = true;
-    } else if (arg == "--chaos-adversarial") {
-      experiment_flag();
-      spec.chaos_adversarial = true;
-    } else if (arg == "--trace") {
-      experiment_flag();
-      spec.trace = value();
-      if (spec.trace.empty()) {
-        fail_usage(argv[0], "--trace needs a file name");
-      }
-    } else if (arg == "--metrics") {
-      experiment_flag();
-      spec.metrics = value();
-      if (spec.metrics.empty()) {
-        fail_usage(argv[0], "--metrics needs a file name");
+      if ((arg == "--trace" && spec.trace.empty()) ||
+          (arg == "--metrics" && spec.metrics.empty())) {
+        fail_usage(argv[0], arg + " needs a file name");
       }
     } else {
       fail_usage(argv[0], "unknown flag '" + arg + "'");
@@ -531,6 +482,9 @@ int main(int argc, char** argv) {
   }
 
   if (dump_scenario) {
+    // A dump must replay: it passes the same validation --scenario does.
+    const std::string error = core::validate_scenario(spec);
+    if (!error.empty()) fail_usage(argv[0], "scenario: " + error);
     std::printf("%s\n", core::scenario_to_json(spec).c_str());
     return 0;
   }

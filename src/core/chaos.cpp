@@ -18,6 +18,7 @@ namespace stabl::core {
 namespace {
 
 std::string plan_json(const FaultPlan& plan) {
+  const FaultParams& knobs = plan.params;
   std::ostringstream out;
   out << "{\"type\":\"" << to_string(plan.type) << "\",\"targets\":[";
   for (std::size_t i = 0; i < plan.targets.size(); ++i) {
@@ -32,30 +33,30 @@ std::string plan_json(const FaultPlan& plan) {
   switch (plan.type) {
     case FaultType::kDelay:
       out << ",\"delay_s\":"
-          << Table::num(sim::to_seconds(plan.delay_amount), 3);
+          << Table::num(sim::to_seconds(knobs.delay_amount), 3);
       break;
     case FaultType::kChurn:
       out << ",\"churn_down_s\":"
-          << Table::num(sim::to_seconds(plan.churn_down), 3)
+          << Table::num(sim::to_seconds(knobs.churn_down), 3)
           << ",\"churn_up_s\":"
-          << Table::num(sim::to_seconds(plan.churn_up), 3);
+          << Table::num(sim::to_seconds(knobs.churn_up), 3);
       break;
     case FaultType::kLoss:
-      out << ",\"loss_probability\":" << Table::num(plan.loss_probability, 2);
+      out << ",\"loss_probability\":" << Table::num(knobs.loss_probability, 2);
       break;
     case FaultType::kThrottle:
       out << ",\"throttle_bytes_per_s\":"
-          << Table::num(plan.throttle_bytes_per_s, 0);
+          << Table::num(knobs.throttle_bytes_per_s, 0);
       break;
     case FaultType::kGray:
       out << ",\"gray_ms\":"
-          << Table::num(sim::to_seconds(plan.gray_latency) * 1000.0, 0);
+          << Table::num(sim::to_seconds(knobs.gray_latency) * 1000.0, 0);
       break;
     case FaultType::kEclipse:
-      out << ",\"eclipse_victim\":" << plan.eclipse_victim
+      out << ",\"eclipse_victim\":" << knobs.eclipse_victim
           << ",\"eclipse_ms\":"
-          << Table::num(sim::to_seconds(plan.eclipse_delay) * 1000.0, 0)
-          << ",\"eclipse_filter\":" << Table::num(plan.eclipse_filter, 2);
+          << Table::num(sim::to_seconds(knobs.eclipse_delay) * 1000.0, 0)
+          << ",\"eclipse_filter\":" << Table::num(knobs.eclipse_filter, 2);
       break;
     default:
       break;
@@ -66,6 +67,7 @@ std::string plan_json(const FaultPlan& plan) {
 
 FaultPlan parse_plan(JsonCursor& cursor) {
   FaultPlan plan;
+  FaultParams& knobs = plan.params;
   cursor.expect('{');
   bool first = true;
   while (!cursor.consume('}')) {
@@ -89,23 +91,23 @@ FaultPlan parse_plan(JsonCursor& cursor) {
     } else if (key == "recover_at_s") {
       plan.recover_at = sim::seconds(cursor.parse_number());
     } else if (key == "delay_s") {
-      plan.delay_amount = sim::seconds(cursor.parse_number());
+      knobs.delay_amount = sim::seconds(cursor.parse_number());
     } else if (key == "churn_down_s") {
-      plan.churn_down = sim::seconds(cursor.parse_number());
+      knobs.churn_down = sim::seconds(cursor.parse_number());
     } else if (key == "churn_up_s") {
-      plan.churn_up = sim::seconds(cursor.parse_number());
+      knobs.churn_up = sim::seconds(cursor.parse_number());
     } else if (key == "loss_probability") {
-      plan.loss_probability = cursor.parse_number();
+      knobs.loss_probability = cursor.parse_number();
     } else if (key == "throttle_bytes_per_s") {
-      plan.throttle_bytes_per_s = cursor.parse_number();
+      knobs.throttle_bytes_per_s = cursor.parse_number();
     } else if (key == "gray_ms") {
-      plan.gray_latency = sim::seconds(cursor.parse_number() / 1000.0);
+      knobs.gray_latency = sim::seconds(cursor.parse_number() / 1000.0);
     } else if (key == "eclipse_victim") {
-      plan.eclipse_victim = static_cast<net::NodeId>(cursor.parse_number());
+      knobs.eclipse_victim = static_cast<net::NodeId>(cursor.parse_number());
     } else if (key == "eclipse_ms") {
-      plan.eclipse_delay = sim::seconds(cursor.parse_number() / 1000.0);
+      knobs.eclipse_delay = sim::seconds(cursor.parse_number() / 1000.0);
     } else if (key == "eclipse_filter") {
-      plan.eclipse_filter = cursor.parse_number();
+      knobs.eclipse_filter = cursor.parse_number();
     } else {
       cursor.fail("unknown plan field \"" + key + "\"");
     }
@@ -146,6 +148,7 @@ FaultSchedule generate_schedule(sim::Rng& rng, const ChaosGenConfig& config) {
   FaultSchedule schedule;
   for (std::size_t p = 0; p < plan_count; ++p) {
     FaultPlan plan;
+    FaultParams& knobs = plan.params;
     plan.type = config.types[static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(config.types.size()) - 1))];
 
@@ -171,29 +174,29 @@ FaultSchedule generate_schedule(sim::Rng& rng, const ChaosGenConfig& config) {
 
     switch (plan.type) {
       case FaultType::kDelay:
-        plan.delay_amount =
+        knobs.delay_amount =
             sim::sec(rng.uniform_int(config.min_delay_s, config.max_delay_s));
         break;
       case FaultType::kChurn:
-        plan.churn_down = sim::sec(rng.uniform_int(
+        knobs.churn_down = sim::sec(rng.uniform_int(
             config.min_churn_period_s, config.max_churn_period_s));
-        plan.churn_up = sim::sec(rng.uniform_int(
+        knobs.churn_up = sim::sec(rng.uniform_int(
             config.min_churn_period_s, config.max_churn_period_s));
         break;
       case FaultType::kLoss: {
         const auto percent = rng.uniform_int(
             static_cast<std::int64_t>(std::lround(config.min_loss * 100.0)),
             static_cast<std::int64_t>(std::lround(config.max_loss * 100.0)));
-        plan.loss_probability = static_cast<double>(percent) / 100.0;
+        knobs.loss_probability = static_cast<double>(percent) / 100.0;
         break;
       }
       case FaultType::kThrottle:
-        plan.throttle_bytes_per_s = static_cast<double>(rng.uniform_int(
+        knobs.throttle_bytes_per_s = static_cast<double>(rng.uniform_int(
             static_cast<std::int64_t>(config.min_throttle_bytes_per_s),
             static_cast<std::int64_t>(config.max_throttle_bytes_per_s)));
         break;
       case FaultType::kGray:
-        plan.gray_latency = sim::ms(
+        knobs.gray_latency = sim::ms(
             rng.uniform_int(config.min_gray_ms, config.max_gray_ms));
         break;
       case FaultType::kEclipse: {
@@ -207,17 +210,17 @@ FaultSchedule generate_schedule(sim::Rng& rng, const ChaosGenConfig& config) {
             eligible.push_back(node);
           }
         }
-        plan.eclipse_victim = eligible[static_cast<std::size_t>(
+        knobs.eclipse_victim = eligible[static_cast<std::size_t>(
             rng.uniform_int(0,
                             static_cast<std::int64_t>(eligible.size()) - 1))];
-        plan.eclipse_delay = sim::ms(
+        knobs.eclipse_delay = sim::ms(
             rng.uniform_int(config.min_eclipse_ms, config.max_eclipse_ms));
         const auto filter_percent = rng.uniform_int(
             static_cast<std::int64_t>(
                 std::lround(config.min_eclipse_filter * 100.0)),
             static_cast<std::int64_t>(
                 std::lround(config.max_eclipse_filter * 100.0)));
-        plan.eclipse_filter = static_cast<double>(filter_percent) / 100.0;
+        knobs.eclipse_filter = static_cast<double>(filter_percent) / 100.0;
         break;
       }
       default:

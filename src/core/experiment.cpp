@@ -117,12 +117,7 @@ FaultSchedule resolved_schedule(const ExperimentConfig& config) {
   plan.type = config.fault;
   plan.inject_at = config.inject_at;
   plan.recover_at = config.recover_at;
-  plan.loss_probability = config.loss_probability;
-  plan.throttle_bytes_per_s = config.throttle_bytes_per_s;
-  plan.gray_latency = config.gray_latency;
-  plan.eclipse_victim = config.eclipse_victim;
-  plan.eclipse_delay = config.eclipse_delay;
-  plan.eclipse_filter = config.eclipse_filter;
+  plan.params = config.fault_params;
   if (!config.fault_targets.empty()) {
     // Explicit override: the caller is deliberately faulting specific
     // nodes — possibly entry nodes, to study client-side mitigations.
@@ -472,6 +467,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     config.metrics->detach_probes();
   }
   return result;
+}
+
+void apply_run_window(ExperimentConfig& config, std::int64_t duration_s) {
+  config.duration = sim::sec(duration_s);
+  config.inject_at = sim::sec(duration_s / 3);
+  config.recover_at = sim::sec(2 * duration_s / 3);
 }
 
 ExperimentConfig paper_cell(const ExperimentConfig& base, ChainKind chain,

@@ -8,6 +8,11 @@
 // conditions clear at 266 s. The Byzantine-node-tolerance experiment (§7)
 // instead connects every client to 4 = max(t_B)+1 nodes and doubles the
 // VM size to 8 vCPUs.
+//
+// An ExperimentConfig names its primary fault by type, count, targets and
+// window; the fault's knobs travel as one core::FaultParams
+// (`fault_params`), the struct every FaultPlan carries, so resolving the
+// primary plan copies one member.
 #pragma once
 
 #include <cstdint>
@@ -106,23 +111,14 @@ struct ExperimentConfig {
   /// paper's default (nodes that take no client traffic). Targeting an
   /// entry node is how the resilient client's failover is studied.
   std::vector<net::NodeId> fault_targets{};
-  /// kLoss: per-packet drop probability between targets and the rest.
-  double loss_probability = 0.2;
-  /// kThrottle: link bandwidth in bytes/s between targets and the rest.
-  double throttle_bytes_per_s = 64.0 * 1024.0;
-  /// kGray: service latency added to all traffic touching a target.
-  sim::Duration gray_latency = sim::sec(2);
-  /// kEclipse: the victim whose connectivity the targets (attackers)
-  /// intercept, the extra delay added to each intercepted packet, and the
-  /// per-packet filter (drop) probability. The default victim is the last
-  /// node — like the paper's fault targets it takes no client traffic.
-  net::NodeId eclipse_victim = 9;
-  sim::Duration eclipse_delay = sim::ms(500);
-  double eclipse_filter = 0.2;
+  /// Per-type knobs of the primary fault (loss probability, throttle
+  /// bandwidth, gray latency, eclipse victim/delay/filter, delay amount,
+  /// churn periods); only the knobs of `fault`'s type are read.
+  FaultParams fault_params{};
   /// Additional fault plans armed alongside the primary `fault` (engine
   /// v2 composition: loss during a partition, churn plus delay, ...).
-  /// Plans with empty targets get the same default target selection as
-  /// the primary fault of their type.
+  /// Each carries its own FaultParams. Plans with empty targets get the
+  /// same default target selection as the primary fault of their type.
   FaultSchedule extra_faults{};
   /// Client-side timeouts + failover + backoff + circuit breaker. When
   /// enabled, every client gets all entry nodes as failover candidates
@@ -221,11 +217,17 @@ struct ExperimentResult {
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// The full fault schedule run_experiment arms for a config: the primary
-/// `fault` plan with the paper's default targets resolved, followed by the
+/// `fault` plan (window and `fault_params` copied from the config) with
+/// the paper's default targets resolved, followed by the
 /// `extra_faults` plans (empty target lists resolved the same way). The
 /// invariant oracles call this to learn exactly which windows and targets
 /// a run was subjected to.
 FaultSchedule resolved_schedule(const ExperimentConfig& config);
+
+/// The paper's run geometry for `duration_s` seconds, and the one place
+/// it is written: faults hit at the first integer third and clear at the
+/// second (400 s keeps the paper's 133 s / 266 s window).
+void apply_run_window(ExperimentConfig& config, std::int64_t duration_s);
 
 /// One cell of the paper's grid: `base` with chain, fault and seed set.
 /// The secure-client fault gets the §7 geometry (t_B+1 = 4 endpoints and

@@ -145,47 +145,49 @@ std::string validate(const FaultPlan& plan, std::size_t n) {
           << sim::format_time(plan.recover_at);
     return error.str();
   }
+  const FaultParams& knobs = plan.params;
   switch (plan.type) {
     case FaultType::kChurn:
-      if (plan.churn_down <= sim::Duration::zero() ||
-          plan.churn_up <= sim::Duration::zero()) {
+      if (knobs.churn_down <= sim::Duration::zero() ||
+          knobs.churn_up <= sim::Duration::zero()) {
         error << "churn plan needs positive churn_down and churn_up";
       }
       break;
     case FaultType::kDelay:
-      if (plan.delay_amount <= sim::Duration::zero()) {
+      if (knobs.delay_amount <= sim::Duration::zero()) {
         error << "delay plan needs a positive delay_amount";
       }
       break;
     case FaultType::kLoss:
-      if (!(plan.loss_probability > 0.0 && plan.loss_probability <= 1.0)) {
+      if (!(knobs.loss_probability > 0.0 && knobs.loss_probability <= 1.0)) {
         error << "loss plan needs loss_probability in (0, 1], got "
-              << plan.loss_probability;
+              << knobs.loss_probability;
       }
       break;
     case FaultType::kThrottle:
-      if (!(plan.throttle_bytes_per_s > 0.0)) {
+      if (!(knobs.throttle_bytes_per_s > 0.0)) {
         error << "throttle plan needs a positive throttle_bytes_per_s";
       }
       break;
     case FaultType::kGray:
-      if (plan.gray_latency <= sim::Duration::zero()) {
+      if (knobs.gray_latency <= sim::Duration::zero()) {
         error << "gray plan needs a positive gray_latency";
       }
       break;
     case FaultType::kEclipse:
-      if (plan.eclipse_victim >= n) {
-        error << "eclipse plan victim node " << plan.eclipse_victim
+      if (knobs.eclipse_victim >= n) {
+        error << "eclipse plan victim node " << knobs.eclipse_victim
               << " is outside the cluster 0.." << (n - 1);
       } else if (std::find(plan.targets.begin(), plan.targets.end(),
-                           plan.eclipse_victim) != plan.targets.end()) {
-        error << "eclipse plan victim node " << plan.eclipse_victim
+                           knobs.eclipse_victim) != plan.targets.end()) {
+        error << "eclipse plan victim node " << knobs.eclipse_victim
               << " cannot also be an attacker target";
-      } else if (plan.eclipse_delay <= sim::Duration::zero()) {
+      } else if (knobs.eclipse_delay <= sim::Duration::zero()) {
         error << "eclipse plan needs a positive eclipse_delay";
-      } else if (!(plan.eclipse_filter >= 0.0 && plan.eclipse_filter < 1.0)) {
+      } else if (!(knobs.eclipse_filter >= 0.0 &&
+                   knobs.eclipse_filter < 1.0)) {
         error << "eclipse plan needs eclipse_filter in [0, 1), got "
-              << plan.eclipse_filter;
+              << knobs.eclipse_filter;
       }
       break;
     default:
@@ -195,29 +197,32 @@ std::string validate(const FaultPlan& plan, std::size_t n) {
 }
 
 FaultPlan canonical(FaultPlan plan) {
-  const FaultPlan defaults{};
+  const FaultParams defaults{};
+  FaultParams& knobs = plan.params;
   if (!uses_recovery_window(plan.type)) plan.recover_at = sim::Time{0};
   if (plan.type == FaultType::kNone ||
       plan.type == FaultType::kSecureClient) {
     plan.targets.clear();
     plan.inject_at = sim::Time{0};
   }
-  if (plan.type != FaultType::kDelay) plan.delay_amount = defaults.delay_amount;
+  if (plan.type != FaultType::kDelay) {
+    knobs.delay_amount = defaults.delay_amount;
+  }
   if (plan.type != FaultType::kChurn) {
-    plan.churn_down = defaults.churn_down;
-    plan.churn_up = defaults.churn_up;
+    knobs.churn_down = defaults.churn_down;
+    knobs.churn_up = defaults.churn_up;
   }
   if (plan.type != FaultType::kLoss) {
-    plan.loss_probability = defaults.loss_probability;
+    knobs.loss_probability = defaults.loss_probability;
   }
   if (plan.type != FaultType::kThrottle) {
-    plan.throttle_bytes_per_s = defaults.throttle_bytes_per_s;
+    knobs.throttle_bytes_per_s = defaults.throttle_bytes_per_s;
   }
-  if (plan.type != FaultType::kGray) plan.gray_latency = defaults.gray_latency;
+  if (plan.type != FaultType::kGray) knobs.gray_latency = defaults.gray_latency;
   if (plan.type != FaultType::kEclipse) {
-    plan.eclipse_victim = defaults.eclipse_victim;
-    plan.eclipse_delay = defaults.eclipse_delay;
-    plan.eclipse_filter = defaults.eclipse_filter;
+    knobs.eclipse_victim = defaults.eclipse_victim;
+    knobs.eclipse_delay = defaults.eclipse_delay;
+    knobs.eclipse_filter = defaults.eclipse_filter;
   }
   std::sort(plan.targets.begin(), plan.targets.end());
   return plan;

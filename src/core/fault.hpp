@@ -7,6 +7,12 @@
 // plans whose windows may overlap and compose (packet loss during a
 // partition, churn plus delay, ...), the chaos-engineering shape realistic
 // resilience assessment needs.
+//
+// A fault is described one way: a FaultPlan is its type, targets and
+// window plus one FaultParams holding every per-type knob. The knob list
+// is declared once, in FaultParams; experiment configs, the chaos
+// generator and the plan JSON carry or read that struct, and the scenario
+// file's knob keys are lowered onto it.
 #pragma once
 
 #include <string>
@@ -70,11 +76,11 @@ std::string fault_description(FaultType type);
 /// listing every valid name when `name` matches none of them.
 FaultType fault_from_name(std::string_view name);
 
-struct FaultPlan {
-  FaultType type = FaultType::kNone;
-  std::vector<net::NodeId> targets;  // blockchain nodes affected
-  sim::Time inject_at = sim::sec(133);
-  sim::Time recover_at = sim::sec(266);
+/// The per-type knobs of a fault plan: the one place the fault model's
+/// parameters are declared. A plan reads only the knobs of its own type
+/// (canonical() resets the rest); ExperimentConfig::fault_params carries
+/// the same struct for the primary fault and for composed plans.
+struct FaultParams {
   /// kDelay only: one-way latency added between targets and the rest.
   sim::Duration delay_amount = sim::sec(120);
   /// kChurn only: how long the targets stay down / up per cycle.
@@ -87,7 +93,9 @@ struct FaultPlan {
   /// kGray only: service latency added to all traffic touching a target.
   sim::Duration gray_latency = sim::sec(2);
   /// kEclipse only: the victim whose traffic the attacker targets
-  /// intercept. Must not itself be a target.
+  /// intercept. Must not itself be a target. The default is the last node
+  /// of the paper's cluster: like the fault targets, it takes no client
+  /// traffic.
   net::NodeId eclipse_victim = 9;
   /// kEclipse only: relay latency the attackers add to every intercepted
   /// packet (the detour through the attacker overlay).
@@ -95,6 +103,14 @@ struct FaultPlan {
   /// kEclipse only: probability in [0, 1) that the attackers filter
   /// (silently drop) an intercepted packet.
   double eclipse_filter = 0.2;
+};
+
+struct FaultPlan {
+  FaultType type = FaultType::kNone;
+  std::vector<net::NodeId> targets;  // blockchain nodes affected
+  sim::Time inject_at = sim::sec(133);
+  sim::Time recover_at = sim::sec(266);
+  FaultParams params{};
 };
 
 /// Whether the plan's recover_at action means anything (kCrash never
@@ -113,10 +129,9 @@ struct FaultPlan {
 /// reads — are reset to neutral values so that two behaviourally identical
 /// plans compare and serialize identically. Concretely: recover_at is
 /// zeroed on kCrash/kNone/kSecureClient (their recovery window means
-/// nothing; see the satellite note in DESIGN.md §10), per-type knobs
-/// (delay_amount, churn_*, loss_probability, throttle_bytes_per_s,
-/// gray_latency) are reset to defaults on every type that does not use
-/// them, kNone/kSecureClient additionally drop targets and inject_at, and
+/// nothing; see the satellite note in DESIGN.md §10), every FaultParams
+/// knob is reset to its default on every type that does not use it,
+/// kNone/kSecureClient additionally drop targets and inject_at, and
 /// targets are sorted. The chaos generator and the schedule JSON
 /// serializer only ever produce canonical plans.
 [[nodiscard]] FaultPlan canonical(FaultPlan plan);

@@ -49,17 +49,17 @@ void Observers::churn_kill(const FaultPlan& plan, sim::Time at) {
                    plan_args(plan));
   }
   for (const net::NodeId id : plan.targets) nodes_.at(id)->kill();
-  const sim::Time up_at = at + plan.churn_down;
+  const sim::Time up_at = at + plan.params.churn_down;
   sim_.schedule_at(up_at, [this, plan, up_at] {
     if (auto* trace = sim_.trace()) {
       trace->instant(kFaultsTrack, sim_.now(), "churn_up", "fault",
                      plan_args(plan));
     }
     for (const net::NodeId id : plan.targets) nodes_.at(id)->start();
-    const sim::Time next_kill = up_at + plan.churn_up;
+    const sim::Time next_kill = up_at + plan.params.churn_up;
     // Only start another cycle when it fully fits the fault window, so
     // the targets are guaranteed back up at recover_at.
-    if (next_kill + plan.churn_down <= plan.recover_at) {
+    if (next_kill + plan.params.churn_down <= plan.recover_at) {
       sim_.schedule_at(next_kill, [this, plan, next_kill] {
         churn_kill(plan, next_kill);
       });
@@ -169,8 +169,9 @@ void Observers::arm(const FaultPlan& plan) {
       auto rule = std::make_shared<net::RuleId>(0);
       sim_.schedule_at(plan.inject_at, [this, plan, rule, trace_inject] {
         trace_inject(plan);
-        *rule = net_.add_eclipse(plan.eclipse_victim, plan.targets,
-                                 plan.eclipse_delay, plan.eclipse_filter);
+        *rule = net_.add_eclipse(plan.params.eclipse_victim, plan.targets,
+                                 plan.params.eclipse_delay,
+                                 plan.params.eclipse_filter);
       });
       sim_.schedule_at(plan.recover_at,
                        [this, rule, type = plan.type, trace_recover] {
@@ -195,18 +196,19 @@ void Observers::arm(const FaultPlan& plan) {
             *rule = net_.add_partition(plan.targets, rest);
             break;
           case FaultType::kDelay:
-            *rule = net_.add_delay(plan.targets, rest, plan.delay_amount);
+            *rule =
+                net_.add_delay(plan.targets, rest, plan.params.delay_amount);
             break;
           case FaultType::kLoss:
             *rule = net_.add_loss(plan.targets, rest,
-                                  plan.loss_probability);
+                                  plan.params.loss_probability);
             break;
           case FaultType::kThrottle:
             *rule = net_.add_bandwidth(plan.targets, rest,
-                                       plan.throttle_bytes_per_s);
+                                       plan.params.throttle_bytes_per_s);
             break;
           case FaultType::kGray:
-            *rule = net_.add_gray(plan.targets, plan.gray_latency);
+            *rule = net_.add_gray(plan.targets, plan.params.gray_latency);
             break;
           default:
             break;

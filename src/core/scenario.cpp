@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "core/json.hpp"
 
@@ -30,27 +33,375 @@ void append_string(std::string& out, const std::string& value) {
 }
 
 bool parse_bool(JsonCursor& cursor) {
-  if (cursor.consume('t')) {
-    cursor.expect('r');
-    cursor.expect('u');
-    cursor.expect('e');
-    return true;
-  }
-  cursor.expect('f');
-  cursor.expect('a');
-  cursor.expect('l');
-  cursor.expect('s');
-  cursor.expect('e');
-  return false;
+  const bool value = cursor.peek() == 't';
+  for (const char c : std::string(value ? "true" : "false")) cursor.expect(c);
+  return value;
 }
 
-std::int64_t parse_integer(JsonCursor& cursor, const std::string& key) {
+std::int64_t read_integer(JsonCursor& cursor, const std::string& key) {
   const double value = cursor.parse_number();
   if (value != std::floor(value) || std::abs(value) > 9e15) {
     throw std::invalid_argument("scenario: \"" + key +
                                 "\" must be an integer");
   }
   return static_cast<std::int64_t>(value);
+}
+
+double read_number(JsonCursor& cursor, const std::string& key) {
+  const double value = cursor.parse_number();
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("scenario: \"" + key +
+                                "\" must be a finite number");
+  }
+  return value;
+}
+
+/// `[item, ...]`, calling read_item() once per element.
+template <class ReadItem>
+void read_list(JsonCursor& cursor, ReadItem read_item) {
+  cursor.expect('[');
+  if (cursor.consume(']')) return;
+  do {
+    read_item();
+  } while (cursor.consume(','));
+  cursor.expect(']');
+}
+
+/// `{"name": value, ...}`, calling read_member(name) with the cursor on
+/// the value. A repeated name throws "scenario: <duplicate><name>\"".
+template <class ReadMember>
+void read_members(JsonCursor& cursor, const std::string& duplicate,
+                  ReadMember read_member) {
+  std::set<std::string> seen;
+  cursor.expect('{');
+  for (bool first = true; !cursor.consume('}'); first = false) {
+    if (!first) cursor.expect(',');
+    const std::string name = cursor.parse_string();
+    cursor.expect(':');
+    if (!seen.insert(name).second) {
+      throw std::invalid_argument("scenario: " + duplicate + name + "\"");
+    }
+    read_member(name);
+  }
+}
+
+template <class T, class WriteItem>
+void write_list(std::string& out, const std::vector<T>& items,
+                WriteItem write_item) {
+  out += '[';
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ", ";
+    write_item(out, items[i]);
+  }
+  out += ']';
+}
+
+/// Flag text for a string value. The writer emits strings verbatim, so a
+/// quote or backslash would make a file the reader rejects.
+std::string plain_text(const std::string& text, const std::string& key) {
+  if (text.find_first_of("\"\\") != std::string::npos) {
+    throw std::invalid_argument("scenario: \"" + key +
+                                "\" must not contain '\"' or '\\'");
+  }
+  return text;
+}
+
+template <class... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+template <class... F>
+Overloaded(F...) -> Overloaded<F...>;
+
+// --------------------------------------------------------------- key table
+
+using Ids = std::vector<net::NodeId>;
+using Names = std::vector<std::string>;
+
+/// A key's kind is its member's type: string, double, int (int64), seed
+/// (uint64, read as an int >= 0), bool, id list, name list, params map,
+/// or the nested traffic object.
+template <class S>
+using Member = std::variant<std::string S::*, double S::*, std::int64_t S::*,
+                            std::uint64_t S::*, bool S::*, Ids S::*,
+                            Names S::*, chain::ChainParams S::*,
+                            TrafficSpec S::*>;
+
+/// Seconds and milliseconds keys are lowered to sim::Duration (int64
+/// microseconds). Their value must stay below 1e18 us, which also leaves
+/// headroom for the window arithmetic done on top of them.
+enum class Unit { kNone, kSeconds, kMillis };
+
+template <class S>
+struct Field {
+  const char* key;
+  Member<S> member;
+  Unit unit = Unit::kNone;
+};
+
+using Spec = ScenarioSpec;
+using Traffic = TrafficSpec;
+
+/// Every ScenarioSpec key, in file order. The writer, the strict reader
+/// and set_scenario_key (stabl_cli's flags) all walk this table.
+const Field<Spec> kSpecFields[] = {
+    {"name", &Spec::name},
+    {"chain", &Spec::chain},
+    {"chain_params", &Spec::chain_params},
+    {"fault", &Spec::fault},
+    {"fault_targets", &Spec::fault_targets},
+    {"extra_faults", &Spec::extra_faults},
+    {"loss_probability", &Spec::loss_probability},
+    {"throttle_bytes_per_s", &Spec::throttle_bytes_per_s},
+    {"gray_delay_s", &Spec::gray_delay_s, Unit::kSeconds},
+    {"eclipse_victim", &Spec::eclipse_victim},
+    {"eclipse_delay_s", &Spec::eclipse_delay_s, Unit::kSeconds},
+    {"eclipse_filter", &Spec::eclipse_filter},
+    {"duration_s", &Spec::duration_s, Unit::kSeconds},
+    {"seed", &Spec::seed},
+    {"num_seeds", &Spec::num_seeds},
+    {"jobs", &Spec::jobs},
+    {"workload", &Spec::workload},
+    // Emitted only while has_traffic, so dumps of traffic-free specs keep
+    // the exact bytes they had before the traffic layer existed.
+    {"traffic", &Spec::traffic},
+    {"fanout", &Spec::fanout},
+    {"matching", &Spec::matching},
+    {"vcpus", &Spec::vcpus},
+    {"resilient", &Spec::resilient},
+    {"commit_timeout_s", &Spec::commit_timeout_s, Unit::kSeconds},
+    {"hedge", &Spec::hedge},
+    {"hedge_percentile", &Spec::hedge_percentile},
+    {"hedge_min_delay_s", &Spec::hedge_min_delay_s, Unit::kSeconds},
+    {"hedge_max_delay_s", &Spec::hedge_max_delay_s, Unit::kSeconds},
+    {"endpoint_scoring", &Spec::endpoint_scoring},
+    {"chaos_trials", &Spec::chaos_trials},
+    {"shrink", &Spec::shrink},
+    {"chaos_adversarial", &Spec::chaos_adversarial},
+    {"trace", &Spec::trace},
+    {"metrics", &Spec::metrics},
+};
+
+/// The "traffic" object's keys (core/traffic.hpp), in file order.
+const Field<Traffic> kTrafficFields[] = {
+    {"preset", &Traffic::preset},
+    {"shape", &Traffic::shape},
+    {"accounts_per_client", &Traffic::accounts_per_client},
+    {"zipf_exponent", &Traffic::zipf_exponent},
+    {"hot_fraction", &Traffic::hot_fraction},
+    {"regions", &Traffic::regions},
+    {"region_spread_ms", &Traffic::region_spread_ms, Unit::kMillis},
+    {"diurnal_amplitude", &Traffic::diurnal_amplitude},
+    {"diurnal_period_s", &Traffic::diurnal_period_s, Unit::kSeconds},
+    {"flash_at_s", &Traffic::flash_at_s, Unit::kSeconds},
+    {"flash_duration_s", &Traffic::flash_duration_s, Unit::kSeconds},
+    {"flash_factor", &Traffic::flash_factor},
+    {"fault_phase", &Traffic::fault_phase},
+};
+
+/// Each struct's table and the key prefix its error messages use.
+template <class S>
+struct Table {
+  static constexpr const auto& fields = kSpecFields;
+  static constexpr const char* prefix = "";
+};
+template <>
+struct Table<Traffic> {
+  static constexpr const auto& fields = kTrafficFields;
+  static constexpr const char* prefix = "traffic.";
+};
+
+template <class S>
+const Field<S>& find_field(const std::string& key) {
+  for (const Field<S>& field : Table<S>::fields) {
+    if (key == field.key) return field;
+  }
+  throw std::invalid_argument(
+      "scenario: unknown key \"" + std::string(Table<S>::prefix) + key +
+      "\" (scenarios are strict; see core/" +
+      (std::is_same_v<S, Spec> ? "scenario" : "traffic") +
+      ".hpp for the schema)");
+}
+
+/// Pretty object: one key per line at `indent` + 2 spaces, closing brace
+/// at `indent`.
+template <class S>
+void write_object(std::string& out, const S& s, const char* indent) {
+  out += "{\n";
+  for (const Field<S>& field : Table<S>::fields) {
+    if constexpr (std::is_same_v<S, Spec>) {
+      if (std::holds_alternative<Traffic S::*>(field.member) &&
+          !s.has_traffic) {
+        continue;
+      }
+    }
+    if (out.back() != '\n') out += ",\n";
+    out += std::string(indent) + "  \"" + field.key + "\": ";
+    std::visit(
+        Overloaded{
+            [&](std::string S::*m) { append_string(out, s.*m); },
+            [&](double S::*m) { out += fmt_double(s.*m); },
+            [&](std::int64_t S::*m) { out += std::to_string(s.*m); },
+            [&](std::uint64_t S::*m) { out += std::to_string(s.*m); },
+            [&](bool S::*m) { out += s.*m ? "true" : "false"; },
+            [&](Ids S::*m) {
+              write_list(out, s.*m, [](std::string& o, net::NodeId id) {
+                o += std::to_string(id);
+              });
+            },
+            [&](Names S::*m) { write_list(out, s.*m, append_string); },
+            [&](chain::ChainParams S::*m) {
+              out += '{';
+              for (const auto& [param, value] : s.*m) {
+                if (out.back() != '{') out += ", ";
+                append_string(out, param);
+                out += ": " + fmt_double(value);
+              }
+              out += '}';
+            },
+            [&](Traffic S::*m) {
+              if constexpr (std::is_same_v<S, Spec>) {
+                write_object(out, s.*m, "  ");
+              }
+            },
+        },
+        field.member);
+  }
+  out += '\n' + std::string(indent) + '}';
+}
+
+/// Strict object: unknown and duplicate keys throw; missing keys keep
+/// their defaults. Lists append and maps assign, so set_scenario_key can
+/// feed flag text through the same reader.
+template <class S>
+void read_object(JsonCursor& cursor, S& s);
+
+template <class S>
+void read_value(JsonCursor& cursor, S& s, const Field<S>& field) {
+  const std::string key = field.key;
+  const auto duration = [&](double value) {
+    const double us = field.unit == Unit::kSeconds ? 1e6 : 1e3;
+    if (field.unit != Unit::kNone && !(std::abs(value) * us < 1e18)) {
+      throw std::invalid_argument("scenario: \"" + key +
+                                  "\" is out of range for a simulated "
+                                  "duration");
+    }
+    return value;
+  };
+  std::visit(
+      Overloaded{
+          [&](std::string S::*m) { s.*m = cursor.parse_string(); },
+          [&](double S::*m) { s.*m = duration(read_number(cursor, key)); },
+          [&](std::int64_t S::*m) {
+            s.*m = read_integer(cursor, key);
+            duration(static_cast<double>(s.*m));
+          },
+          [&](std::uint64_t S::*m) {
+            const std::int64_t seed = read_integer(cursor, key);
+            if (seed < 0) {
+              throw std::invalid_argument("scenario: \"" + key +
+                                          "\" must be >= 0");
+            }
+            s.*m = static_cast<std::uint64_t>(seed);
+          },
+          [&](bool S::*m) { s.*m = parse_bool(cursor); },
+          [&](Ids S::*m) {
+            read_list(cursor, [&] {
+              const std::int64_t id = read_integer(cursor, key);
+              if (id < 0 || id > std::numeric_limits<net::NodeId>::max()) {
+                throw std::invalid_argument(
+                    "scenario: \"" + key + "\" ids must be " +
+                    (id < 0 ? ">= 0" : "< 2^32"));
+              }
+              (s.*m).push_back(static_cast<net::NodeId>(id));
+            });
+          },
+          [&](Names S::*m) {
+            read_list(cursor,
+                      [&] { (s.*m).push_back(cursor.parse_string()); });
+          },
+          [&](chain::ChainParams S::*m) {
+            read_members(cursor, "duplicate chain parameter \"",
+                         [&](const std::string& param) {
+                           (s.*m)[param] =
+                               read_number(cursor, key + "." + param);
+                         });
+          },
+          [&](Traffic S::*m) {
+            if constexpr (std::is_same_v<S, Spec>) {
+              s.has_traffic = true;
+              read_object(cursor, s.*m);
+            }
+          },
+      },
+      field.member);
+}
+
+template <class S>
+void read_object(JsonCursor& cursor, S& s) {
+  read_members(cursor, "duplicate key \"" + std::string(Table<S>::prefix),
+               [&](const std::string& key) {
+                 read_value(cursor, s, find_field<S>(key));
+               });
+}
+
+/// Sets one key from flag text: the text is rewritten as the JSON value
+/// it stands for ("0,1" -> [0,1], "k=v" -> {"k": v}; numbers and bools
+/// are JSON already) and read by the file reader, which must consume it
+/// whole.
+template <class S>
+void set_value(S& s, const Field<S>& field, const std::string& text) {
+  const std::string key = field.key;
+  std::string json = text;
+  std::visit(
+      Overloaded{
+          [&](std::string S::*) { json = '"' + plain_text(text, key) + '"'; },
+          [&](Ids S::*) {
+            // An empty value is an error, not an empty list.
+            json = text.empty() ? "" : '[' + text + ']';
+          },
+          [&](Names S::*) {
+            json = "[\"";
+            for (const char c : plain_text(text, key)) {
+              json += c == ',' ? std::string("\", \"") : std::string(1, c);
+            }
+            json += "\"]";
+          },
+          [&](chain::ChainParams S::*) {
+            const std::size_t eq = text.find('=');
+            if (eq == std::string::npos || eq == 0 ||
+                text.find(',', eq) != std::string::npos) {
+              throw std::invalid_argument("scenario: \"" + key +
+                                          "\" expects one NAME=VALUE");
+            }
+            json = "{\"" + plain_text(text.substr(0, eq), key) +
+                   "\": " + text.substr(eq + 1) + '}';
+          },
+          [&](Traffic S::*) {
+            throw std::invalid_argument(
+                "scenario: set \"traffic\" keys as \"traffic.<key>\"");
+          },
+          [](auto) {},
+      },
+      field.member);
+  JsonCursor cursor(json);
+  read_value(cursor, s, field);
+  cursor.finish();
+}
+
+/// One whole-token number for a flag that is not a scenario key.
+template <class Read>
+auto parse_text(const std::string& text, const std::string& what,
+                const char* expected, Read read) {
+  try {
+    JsonCursor cursor(text);
+    const auto value = read(cursor, what);
+    cursor.finish();
+    return value;
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(what + " must be " + expected + ", got '" +
+                                text + "'");
+  }
 }
 
 }  // namespace
@@ -129,363 +480,40 @@ std::string validate_scenario(const ScenarioSpec& spec) {
 }
 
 std::string scenario_to_json(const ScenarioSpec& spec) {
-  std::string out = "{\n";
-  const auto field = [&out](const char* key, bool last = false) {
-    out += "  \"";
-    out += key;
-    out += "\": ";
-    if (!last) out.reserve(out.size() + 16);
-  };
-  const auto close = [&out](bool last = false) {
-    if (!last) out += ',';
-    out += '\n';
-  };
-
-  field("name");
-  append_string(out, spec.name);
-  close();
-  field("chain");
-  append_string(out, spec.chain);
-  close();
-  field("chain_params");
-  out += '{';
-  bool first = true;
-  for (const auto& [key, value] : spec.chain_params) {
-    if (!first) out += ", ";
-    first = false;
-    append_string(out, key);
-    out += ": ";
-    out += fmt_double(value);
-  }
-  out += '}';
-  close();
-  field("fault");
-  append_string(out, spec.fault);
-  close();
-  field("fault_targets");
-  out += '[';
-  for (std::size_t i = 0; i < spec.fault_targets.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec.fault_targets[i]);
-  }
-  out += ']';
-  close();
-  field("extra_faults");
-  out += '[';
-  for (std::size_t i = 0; i < spec.extra_faults.size(); ++i) {
-    if (i > 0) out += ", ";
-    append_string(out, spec.extra_faults[i]);
-  }
-  out += ']';
-  close();
-  field("loss_probability");
-  out += fmt_double(spec.loss_probability);
-  close();
-  field("throttle_bytes_per_s");
-  out += fmt_double(spec.throttle_bytes_per_s);
-  close();
-  field("gray_delay_s");
-  out += fmt_double(spec.gray_delay_s);
-  close();
-  field("eclipse_victim");
-  out += std::to_string(spec.eclipse_victim);
-  close();
-  field("eclipse_delay_s");
-  out += fmt_double(spec.eclipse_delay_s);
-  close();
-  field("eclipse_filter");
-  out += fmt_double(spec.eclipse_filter);
-  close();
-  field("duration_s");
-  out += std::to_string(spec.duration_s);
-  close();
-  field("seed");
-  out += std::to_string(spec.seed);
-  close();
-  field("num_seeds");
-  out += std::to_string(spec.num_seeds);
-  close();
-  field("jobs");
-  out += std::to_string(spec.jobs);
-  close();
-  field("workload");
-  append_string(out, spec.workload);
-  close();
-  if (spec.has_traffic) {
-    // Emitted only when present, so dumps of traffic-free specs keep the
-    // exact bytes they had before the traffic layer existed.
-    field("traffic");
-    out += "{\n";
-    const auto traffic_field = [&out](const char* key) {
-      out += "    \"";
-      out += key;
-      out += "\": ";
-    };
-    const auto traffic_close = [&out](bool last = false) {
-      if (!last) out += ',';
-      out += '\n';
-    };
-    traffic_field("preset");
-    append_string(out, spec.traffic.preset);
-    traffic_close();
-    traffic_field("shape");
-    append_string(out, spec.traffic.shape);
-    traffic_close();
-    traffic_field("accounts_per_client");
-    out += std::to_string(spec.traffic.accounts_per_client);
-    traffic_close();
-    traffic_field("zipf_exponent");
-    out += fmt_double(spec.traffic.zipf_exponent);
-    traffic_close();
-    traffic_field("hot_fraction");
-    out += fmt_double(spec.traffic.hot_fraction);
-    traffic_close();
-    traffic_field("regions");
-    out += std::to_string(spec.traffic.regions);
-    traffic_close();
-    traffic_field("region_spread_ms");
-    out += fmt_double(spec.traffic.region_spread_ms);
-    traffic_close();
-    traffic_field("diurnal_amplitude");
-    out += fmt_double(spec.traffic.diurnal_amplitude);
-    traffic_close();
-    traffic_field("diurnal_period_s");
-    out += fmt_double(spec.traffic.diurnal_period_s);
-    traffic_close();
-    traffic_field("flash_at_s");
-    out += fmt_double(spec.traffic.flash_at_s);
-    traffic_close();
-    traffic_field("flash_duration_s");
-    out += fmt_double(spec.traffic.flash_duration_s);
-    traffic_close();
-    traffic_field("flash_factor");
-    out += fmt_double(spec.traffic.flash_factor);
-    traffic_close();
-    traffic_field("fault_phase");
-    append_string(out, spec.traffic.fault_phase);
-    traffic_close(/*last=*/true);
-    out += "  }";
-    close();
-  }
-  field("fanout");
-  out += std::to_string(spec.fanout);
-  close();
-  field("matching");
-  out += std::to_string(spec.matching);
-  close();
-  field("vcpus");
-  out += fmt_double(spec.vcpus);
-  close();
-  field("resilient");
-  out += spec.resilient ? "true" : "false";
-  close();
-  field("commit_timeout_s");
-  out += fmt_double(spec.commit_timeout_s);
-  close();
-  field("hedge");
-  out += spec.hedge ? "true" : "false";
-  close();
-  field("hedge_percentile");
-  out += fmt_double(spec.hedge_percentile);
-  close();
-  field("hedge_min_delay_s");
-  out += fmt_double(spec.hedge_min_delay_s);
-  close();
-  field("hedge_max_delay_s");
-  out += fmt_double(spec.hedge_max_delay_s);
-  close();
-  field("endpoint_scoring");
-  out += spec.endpoint_scoring ? "true" : "false";
-  close();
-  field("chaos_trials");
-  out += std::to_string(spec.chaos_trials);
-  close();
-  field("shrink");
-  out += spec.shrink ? "true" : "false";
-  close();
-  field("chaos_adversarial");
-  out += spec.chaos_adversarial ? "true" : "false";
-  close();
-  field("trace");
-  append_string(out, spec.trace);
-  close();
-  field("metrics", /*last=*/true);
-  append_string(out, spec.metrics);
-  close(/*last=*/true);
-  out += "}";
+  std::string out;
+  write_object(out, spec, "");
   return out;
 }
 
 ScenarioSpec scenario_from_json(const std::string& json) {
   ScenarioSpec spec;
   JsonCursor cursor(json);
-  std::set<std::string> seen;
-  cursor.expect('{');
-  bool first = true;
-  while (!cursor.consume('}')) {
-    if (!first) cursor.expect(',');
-    first = false;
-    const std::string key = cursor.parse_string();
-    cursor.expect(':');
-    if (!seen.insert(key).second) {
-      throw std::invalid_argument("scenario: duplicate key \"" + key + "\"");
-    }
-    if (key == "name") {
-      spec.name = cursor.parse_string();
-    } else if (key == "chain") {
-      spec.chain = cursor.parse_string();
-    } else if (key == "chain_params") {
-      cursor.expect('{');
-      bool first_param = true;
-      while (!cursor.consume('}')) {
-        if (!first_param) cursor.expect(',');
-        first_param = false;
-        const std::string param = cursor.parse_string();
-        cursor.expect(':');
-        if (!spec.chain_params.emplace(param, cursor.parse_number())
-                 .second) {
-          throw std::invalid_argument(
-              "scenario: duplicate chain parameter \"" + param + "\"");
-        }
-      }
-    } else if (key == "fault") {
-      spec.fault = cursor.parse_string();
-    } else if (key == "fault_targets") {
-      cursor.expect('[');
-      if (!cursor.consume(']')) {
-        do {
-          const std::int64_t id = parse_integer(cursor, key);
-          if (id < 0) {
-            throw std::invalid_argument(
-                "scenario: \"fault_targets\" ids must be >= 0");
-          }
-          spec.fault_targets.push_back(static_cast<net::NodeId>(id));
-        } while (cursor.consume(','));
-        cursor.expect(']');
-      }
-    } else if (key == "extra_faults") {
-      cursor.expect('[');
-      if (!cursor.consume(']')) {
-        do {
-          spec.extra_faults.push_back(cursor.parse_string());
-        } while (cursor.consume(','));
-        cursor.expect(']');
-      }
-    } else if (key == "loss_probability") {
-      spec.loss_probability = cursor.parse_number();
-    } else if (key == "throttle_bytes_per_s") {
-      spec.throttle_bytes_per_s = cursor.parse_number();
-    } else if (key == "gray_delay_s") {
-      spec.gray_delay_s = cursor.parse_number();
-    } else if (key == "eclipse_victim") {
-      spec.eclipse_victim = parse_integer(cursor, key);
-    } else if (key == "eclipse_delay_s") {
-      spec.eclipse_delay_s = cursor.parse_number();
-    } else if (key == "eclipse_filter") {
-      spec.eclipse_filter = cursor.parse_number();
-    } else if (key == "duration_s") {
-      spec.duration_s = parse_integer(cursor, key);
-    } else if (key == "seed") {
-      const std::int64_t seed = parse_integer(cursor, key);
-      if (seed < 0) {
-        throw std::invalid_argument("scenario: \"seed\" must be >= 0");
-      }
-      spec.seed = static_cast<std::uint64_t>(seed);
-    } else if (key == "num_seeds") {
-      spec.num_seeds = parse_integer(cursor, key);
-    } else if (key == "jobs") {
-      spec.jobs = parse_integer(cursor, key);
-    } else if (key == "workload") {
-      spec.workload = cursor.parse_string();
-    } else if (key == "traffic") {
-      spec.has_traffic = true;
-      cursor.expect('{');
-      std::set<std::string> traffic_seen;
-      bool first_traffic = true;
-      while (!cursor.consume('}')) {
-        if (!first_traffic) cursor.expect(',');
-        first_traffic = false;
-        const std::string traffic_key = cursor.parse_string();
-        cursor.expect(':');
-        if (!traffic_seen.insert(traffic_key).second) {
-          throw std::invalid_argument(
-              "scenario: duplicate key \"traffic." + traffic_key + "\"");
-        }
-        if (traffic_key == "preset") {
-          spec.traffic.preset = cursor.parse_string();
-        } else if (traffic_key == "shape") {
-          spec.traffic.shape = cursor.parse_string();
-        } else if (traffic_key == "accounts_per_client") {
-          spec.traffic.accounts_per_client =
-              parse_integer(cursor, traffic_key);
-        } else if (traffic_key == "zipf_exponent") {
-          spec.traffic.zipf_exponent = cursor.parse_number();
-        } else if (traffic_key == "hot_fraction") {
-          spec.traffic.hot_fraction = cursor.parse_number();
-        } else if (traffic_key == "regions") {
-          spec.traffic.regions = parse_integer(cursor, traffic_key);
-        } else if (traffic_key == "region_spread_ms") {
-          spec.traffic.region_spread_ms = cursor.parse_number();
-        } else if (traffic_key == "diurnal_amplitude") {
-          spec.traffic.diurnal_amplitude = cursor.parse_number();
-        } else if (traffic_key == "diurnal_period_s") {
-          spec.traffic.diurnal_period_s = cursor.parse_number();
-        } else if (traffic_key == "flash_at_s") {
-          spec.traffic.flash_at_s = cursor.parse_number();
-        } else if (traffic_key == "flash_duration_s") {
-          spec.traffic.flash_duration_s = cursor.parse_number();
-        } else if (traffic_key == "flash_factor") {
-          spec.traffic.flash_factor = cursor.parse_number();
-        } else if (traffic_key == "fault_phase") {
-          spec.traffic.fault_phase = cursor.parse_string();
-        } else {
-          throw std::invalid_argument(
-              "scenario: unknown key \"traffic." + traffic_key +
-              "\" (scenarios are strict; see core/traffic.hpp for the "
-              "schema)");
-        }
-      }
-    } else if (key == "fanout") {
-      spec.fanout = parse_integer(cursor, key);
-    } else if (key == "matching") {
-      spec.matching = parse_integer(cursor, key);
-    } else if (key == "vcpus") {
-      spec.vcpus = cursor.parse_number();
-    } else if (key == "resilient") {
-      spec.resilient = parse_bool(cursor);
-    } else if (key == "commit_timeout_s") {
-      spec.commit_timeout_s = cursor.parse_number();
-    } else if (key == "hedge") {
-      spec.hedge = parse_bool(cursor);
-    } else if (key == "hedge_percentile") {
-      spec.hedge_percentile = cursor.parse_number();
-    } else if (key == "hedge_min_delay_s") {
-      spec.hedge_min_delay_s = cursor.parse_number();
-    } else if (key == "hedge_max_delay_s") {
-      spec.hedge_max_delay_s = cursor.parse_number();
-    } else if (key == "endpoint_scoring") {
-      spec.endpoint_scoring = parse_bool(cursor);
-    } else if (key == "chaos_trials") {
-      spec.chaos_trials = parse_integer(cursor, key);
-    } else if (key == "shrink") {
-      spec.shrink = parse_bool(cursor);
-    } else if (key == "chaos_adversarial") {
-      spec.chaos_adversarial = parse_bool(cursor);
-    } else if (key == "trace") {
-      spec.trace = cursor.parse_string();
-    } else if (key == "metrics") {
-      spec.metrics = cursor.parse_string();
-    } else {
-      throw std::invalid_argument(
-          "scenario: unknown key \"" + key +
-          "\" (scenarios are strict; see core/scenario.hpp for the "
-          "schema)");
-    }
-  }
+  read_object(cursor, spec);
   cursor.finish();
   const std::string error = validate_scenario(spec);
   if (!error.empty()) throw std::invalid_argument("scenario: " + error);
   return spec;
+}
+
+void set_scenario_key(ScenarioSpec& spec, const std::string& key,
+                      const std::string& text) {
+  const std::string nested = Table<Traffic>::prefix;
+  if (key.compare(0, nested.size(), nested) != 0) {
+    set_value(spec, find_field<Spec>(key), text);
+    return;
+  }
+  set_value(spec.traffic, find_field<Traffic>(key.substr(nested.size())),
+            text);
+  spec.has_traffic = true;
+}
+
+double parse_number_text(const std::string& text, const std::string& what) {
+  return parse_text(text, what, "a finite number", read_number);
+}
+
+std::int64_t parse_integer_text(const std::string& text,
+                                const std::string& what) {
+  return parse_text(text, what, "an integer", read_integer);
 }
 
 ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
@@ -501,33 +529,17 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   (void)chain::merge_params(chain_traits(config.chain), spec.chain_params);
   config.fault = fault_from_name(spec.fault);
   config.seed = spec.seed;
-  config.duration = sim::sec(spec.duration_s);
   // The historical CLI windows: integer thirds of the duration (400 s
   // runs keep the paper's 133 s / 266 s schedule).
-  config.inject_at = sim::sec(spec.duration_s / 3);
-  config.recover_at = sim::sec(2 * spec.duration_s / 3);
+  apply_run_window(config, spec.duration_s);
   config.fault_targets = spec.fault_targets;
-  config.loss_probability = spec.loss_probability;
-  config.throttle_bytes_per_s = spec.throttle_bytes_per_s;
-  config.gray_latency = sim::seconds(spec.gray_delay_s);
-  config.eclipse_victim = static_cast<net::NodeId>(spec.eclipse_victim);
-  config.eclipse_delay = sim::seconds(spec.eclipse_delay_s);
-  config.eclipse_filter = spec.eclipse_filter;
-  for (const std::string& name : spec.extra_faults) {
-    // Composed plans share the primary fault window and knob values; the
-    // runner fills in their default targets.
-    FaultPlan plan;
-    plan.type = fault_from_name(name);
-    plan.inject_at = config.inject_at;
-    plan.recover_at = config.recover_at;
-    plan.loss_probability = config.loss_probability;
-    plan.throttle_bytes_per_s = config.throttle_bytes_per_s;
-    plan.gray_latency = config.gray_latency;
-    plan.eclipse_victim = config.eclipse_victim;
-    plan.eclipse_delay = config.eclipse_delay;
-    plan.eclipse_filter = config.eclipse_filter;
-    config.extra_faults.add(std::move(plan));
-  }
+  FaultParams& knobs = config.fault_params;
+  knobs.loss_probability = spec.loss_probability;
+  knobs.throttle_bytes_per_s = spec.throttle_bytes_per_s;
+  knobs.gray_latency = sim::seconds(spec.gray_delay_s);
+  knobs.eclipse_victim = static_cast<net::NodeId>(spec.eclipse_victim);
+  knobs.eclipse_delay = sim::seconds(spec.eclipse_delay_s);
+  knobs.eclipse_filter = spec.eclipse_filter;
   config.client_fanout = static_cast<int>(spec.fanout);
   config.client_matching = static_cast<std::size_t>(spec.matching);
   config.vcpus = spec.vcpus;
@@ -564,6 +576,17 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
         config.recover_at = (5 * period) / 8;
       }
     }
+  }
+  for (const std::string& name : spec.extra_faults) {
+    // Composed plans share the primary fault's final window (after any
+    // burst phase above) and its knobs; the runner fills in their
+    // default targets.
+    FaultPlan plan;
+    plan.type = fault_from_name(name);
+    plan.inject_at = config.inject_at;
+    plan.recover_at = config.recover_at;
+    plan.params = config.fault_params;
+    config.extra_faults.add(std::move(plan));
   }
   config.resilience.enabled = spec.resilient;
   config.resilience.retry.commit_timeout =

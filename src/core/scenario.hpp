@@ -11,6 +11,11 @@
 // scenario_to_json/scenario_from_json round-trip byte-stably, so a dumped
 // spec replayed through --scenario reproduces the flag run's report bytes
 // exactly (tests assert this).
+//
+// One key table (scenario.cpp) lists every key with its kind and member.
+// It drives the writer, the strict reader and set_scenario_key, which
+// stabl_cli maps its flags onto. A key is therefore defined once, and a
+// flag value goes through the same parser as the file key.
 #pragma once
 
 #include <cstdint>
@@ -93,16 +98,33 @@ struct ScenarioSpec {
 /// scenario resolves, against whatever chains the binary registered.
 [[nodiscard]] std::string validate_scenario(const ScenarioSpec& spec);
 
-/// Pretty two-space-indented JSON with every field present in declaration
-/// order; doubles use shortest round-trip formatting. Byte-stable:
+/// Pretty two-space-indented JSON with every key present in table order
+/// ("traffic" only while has_traffic); doubles use shortest round-trip
+/// formatting. Byte-stable:
 /// scenario_to_json(scenario_from_json(j)) == j for any j this emitted.
 [[nodiscard]] std::string scenario_to_json(const ScenarioSpec& spec);
 
 /// Strict parse: unknown or duplicate keys, malformed JSON, non-integral
-/// integer fields and validate_scenario failures all throw
+/// integer fields, non-finite numbers, durations that do not fit
+/// sim::Duration and validate_scenario failures all throw
 /// std::invalid_argument. Missing keys keep their defaults, so hand
 /// written specs only state what they change.
 [[nodiscard]] ScenarioSpec scenario_from_json(const std::string& json);
+
+/// Set one key from command-line text through the file key's reader, so
+/// a number must be the whole token ("12abc" throws). List keys append
+/// comma-separated items, "chain_params" takes one NAME=VALUE, and
+/// "traffic.<key>" sets a traffic key and has_traffic. Throws
+/// std::invalid_argument; range checks are left to validate_scenario.
+void set_scenario_key(ScenarioSpec& spec, const std::string& key,
+                      const std::string& text);
+
+/// The reader's number rules for one whole token of a flag that is not a
+/// scenario key; `what` names it in the std::invalid_argument message.
+[[nodiscard]] double parse_number_text(const std::string& text,
+                                       const std::string& what);
+[[nodiscard]] std::int64_t parse_integer_text(const std::string& text,
+                                              const std::string& what);
 
 /// A spec lowered onto the experiment machinery: the ExperimentConfig plus
 /// the driver-level knobs (sweep width, parallelism, chaos mode,
@@ -119,8 +141,9 @@ struct ResolvedScenario {
 };
 
 /// Validate + resolve. Performs exactly stabl_cli's historical flag
-/// post-processing — inject/recover at the duration's integer thirds,
-/// extra plans sharing the primary window and knob values, the
+/// post-processing — inject/recover at the duration's integer thirds
+/// (core::apply_run_window) or the traffic burst phase, extra plans
+/// sharing the primary's final window and FaultParams, the
 /// secure-client fanout-4/8-vCPU adjustment — so a dumped spec reproduces
 /// the flag run byte-for-byte. Throws std::invalid_argument on validation
 /// failures, unknown chain/fault names, or chain_params keys the chain

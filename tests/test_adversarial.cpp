@@ -34,15 +34,15 @@ FaultPlan noisy_plan(FaultType type) {
   plan.targets = {3, 1};  // unsorted on purpose
   plan.inject_at = sim::sec(41);
   plan.recover_at = sim::sec(97);
-  plan.delay_amount = sim::sec(7);
-  plan.churn_down = sim::sec(4);
-  plan.churn_up = sim::sec(6);
-  plan.loss_probability = 0.37;
-  plan.throttle_bytes_per_s = 12345.0;
-  plan.gray_latency = sim::sec(3);
-  plan.eclipse_victim = 0;
-  plan.eclipse_delay = sim::ms(250);
-  plan.eclipse_filter = 0.33;
+  plan.params.delay_amount = sim::sec(7);
+  plan.params.churn_down = sim::sec(4);
+  plan.params.churn_up = sim::sec(6);
+  plan.params.loss_probability = 0.37;
+  plan.params.throttle_bytes_per_s = 12345.0;
+  plan.params.gray_latency = sim::sec(3);
+  plan.params.eclipse_victim = 0;
+  plan.params.eclipse_delay = sim::ms(250);
+  plan.params.eclipse_filter = 0.33;
   return plan;
 }
 
@@ -77,9 +77,9 @@ TEST(AdversarialFaultPlans, CanonicalResetsDeadEclipseKnobsOffEclipse) {
   // differing only in eclipse knobs must serialize identically.
   FaultPlan a = noisy_plan(FaultType::kLoss);
   FaultPlan b = a;
-  b.eclipse_victim = 7;
-  b.eclipse_delay = sim::sec(9);
-  b.eclipse_filter = 0.77;
+  b.params.eclipse_victim = 7;
+  b.params.eclipse_delay = sim::sec(9);
+  b.params.eclipse_filter = 0.77;
   EXPECT_EQ(plan_json(canonical(a)), plan_json(canonical(b)));
 }
 
@@ -116,7 +116,7 @@ TEST(AdversarialFaultPlans, ArmingSchedulesNamesTheOffendingPlan) {
   FaultPlan bad;  // eclipse victim must not itself be an attacker target
   bad.type = FaultType::kEclipse;
   bad.targets = {2};
-  bad.eclipse_victim = 2;
+  bad.params.eclipse_victim = 2;
 
   FaultSchedule schedule;
   schedule.add(good).add(bad);

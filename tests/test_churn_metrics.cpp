@@ -10,8 +10,8 @@ namespace {
 TEST(ChurnFault, NamesAndDefaults) {
   EXPECT_EQ(to_string(FaultType::kChurn), "churn");
   FaultPlan plan;
-  EXPECT_GT(plan.churn_down.count(), 0);
-  EXPECT_GT(plan.churn_up.count(), 0);
+  EXPECT_GT(plan.params.churn_down.count(), 0);
+  EXPECT_GT(plan.params.churn_up.count(), 0);
 }
 
 TEST(ChurnFault, RedbellySurvivesQuorumPreservingChurn) {

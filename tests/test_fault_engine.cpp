@@ -97,24 +97,24 @@ TEST_F(FaultValidationTest, RejectsBadKnobs) {
   plan.recover_at = sim::sec(2);
 
   plan.type = FaultType::kLoss;
-  plan.loss_probability = 1.5;
+  plan.params.loss_probability = 1.5;
   EXPECT_NE(arm_error(plan).find("loss_probability"), std::string::npos);
 
   plan.type = FaultType::kThrottle;
-  plan.throttle_bytes_per_s = 0.0;
+  plan.params.throttle_bytes_per_s = 0.0;
   EXPECT_NE(arm_error(plan).find("throttle_bytes_per_s"),
             std::string::npos);
 
   plan.type = FaultType::kDelay;
-  plan.delay_amount = sim::Duration::zero();
+  plan.params.delay_amount = sim::Duration::zero();
   EXPECT_NE(arm_error(plan).find("delay_amount"), std::string::npos);
 
   plan.type = FaultType::kGray;
-  plan.gray_latency = sim::Duration::zero();
+  plan.params.gray_latency = sim::Duration::zero();
   EXPECT_NE(arm_error(plan).find("gray_latency"), std::string::npos);
 
   plan.type = FaultType::kChurn;
-  plan.churn_down = sim::Duration::zero();
+  plan.params.churn_down = sim::Duration::zero();
   EXPECT_NE(arm_error(plan).find("churn_down"), std::string::npos);
 }
 
@@ -156,23 +156,23 @@ TEST(FaultPlanCanonical, ResetsDeadFieldsAndSortsTargets) {
   plan.targets = {3, 1};
   plan.inject_at = sim::sec(10);
   plan.recover_at = sim::sec(99);    // meaningless: crash never recovers
-  plan.loss_probability = 0.7;       // meaningless for a crash
-  plan.gray_latency = sim::sec(9);
+  plan.params.loss_probability = 0.7;       // meaningless for a crash
+  plan.params.gray_latency = sim::sec(9);
   const FaultPlan canon = canonical(plan);
   EXPECT_EQ(canon.recover_at, sim::Time{0});
   EXPECT_EQ(canon.targets, (std::vector<net::NodeId>{1, 3}));
   const FaultPlan defaults{};
-  EXPECT_EQ(canon.loss_probability, defaults.loss_probability);
-  EXPECT_EQ(canon.gray_latency, defaults.gray_latency);
+  EXPECT_EQ(canon.params.loss_probability, defaults.params.loss_probability);
+  EXPECT_EQ(canon.params.gray_latency, defaults.params.gray_latency);
   EXPECT_EQ(canon.inject_at, sim::sec(10));  // meaningful, kept
 
   // Two behaviourally identical plans normalize identically.
   FaultPlan other = plan;
   other.recover_at = sim::sec(123);
-  other.loss_probability = 0.1;
+  other.params.loss_probability = 0.1;
   const FaultPlan other_canon = canonical(other);
   EXPECT_EQ(other_canon.recover_at, canon.recover_at);
-  EXPECT_EQ(other_canon.loss_probability, canon.loss_probability);
+  EXPECT_EQ(other_canon.params.loss_probability, canon.params.loss_probability);
 }
 
 TEST(FaultPlanCanonical, NoOpTypesDropEverything) {
@@ -345,7 +345,7 @@ TEST_F(FaultValidationTest, OverlappingPlansKeepTheirOwnRuleHandles) {
   FaultPlan wide;
   wide.type = FaultType::kDelay;
   wide.targets = {3};
-  wide.delay_amount = sim::sec(1);
+  wide.params.delay_amount = sim::sec(1);
   wide.inject_at = sim::sec(1);
   wide.recover_at = sim::sec(5);
   schedule.add(wide);
@@ -353,7 +353,7 @@ TEST_F(FaultValidationTest, OverlappingPlansKeepTheirOwnRuleHandles) {
   FaultPlan nested;  // entirely inside the wide plan's window
   nested.type = FaultType::kDelay;
   nested.targets = {3};
-  nested.delay_amount = sim::sec(10);
+  nested.params.delay_amount = sim::sec(10);
   nested.inject_at = sim::sec(2);
   nested.recover_at = sim::sec(3);
   schedule.add(nested);
@@ -386,7 +386,7 @@ TEST_F(FaultValidationTest, MixedKindPlansComposeOnTheSameWindow) {
   FaultPlan loss;
   loss.type = FaultType::kLoss;
   loss.targets = {3};
-  loss.loss_probability = 0.4;
+  loss.params.loss_probability = 0.4;
   loss.inject_at = sim::sec(2);
   loss.recover_at = sim::sec(6);
   schedule.add(loss);
@@ -416,7 +416,7 @@ TEST(FaultScheduleExperiment, ComposedFaultsRunDeterministically) {
 
   FaultPlan loss;
   loss.type = FaultType::kLoss;
-  loss.loss_probability = 0.3;  // targets default inside the runner
+  loss.params.loss_probability = 0.3;  // targets default inside the runner
   loss.inject_at = sim::sec(30);
   loss.recover_at = sim::sec(90);
   config.extra_faults.add(loss);
@@ -451,8 +451,8 @@ TEST(FaultScheduleExperiment, GrayPlusChurnOverlapOnTheSameTarget) {
   churn.targets = {5};
   churn.inject_at = sim::sec(40);
   churn.recover_at = sim::sec(80);
-  churn.churn_down = sim::sec(5);
-  churn.churn_up = sim::sec(7);
+  churn.params.churn_down = sim::sec(5);
+  churn.params.churn_up = sim::sec(7);
   config.extra_faults.add(churn);
 
   const ExperimentResult first = run_experiment(config);

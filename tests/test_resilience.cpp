@@ -276,7 +276,7 @@ TEST(ResilientClient, RecoversUnderPacketLossToo) {
   config.chain = ChainKind::kRedbelly;
   config.fault = FaultType::kLoss;
   config.fault_targets = {0, 1};
-  config.loss_probability = 0.4;
+  config.fault_params.loss_probability = 0.4;
   config.duration = sim::sec(180);
   config.inject_at = sim::sec(60);
   config.recover_at = sim::sec(120);

@@ -112,6 +112,116 @@ TEST(Scenario, OutOfRangeValuesAreRejected) {
             std::string::npos);
 }
 
+TEST(Scenario, NonFiniteNumbersAreRejected) {
+  for (const char* number : {"nan", "inf", "-inf", "infinity", "1e999"}) {
+    const std::string json =
+        std::string(R"({"vcpus": )") + number + "}";
+    EXPECT_NE(error_of(json).find("\"vcpus\" must be a finite number"),
+              std::string::npos)
+        << json;
+  }
+  // An integer key already refused these; a params value did not.
+  EXPECT_NE(error_of(R"({"duration_s": inf})").find("must be an integer"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"chain_params": {"cpu_target": nan}})")
+                .find("\"chain_params.cpu_target\" must be a finite"),
+            std::string::npos);
+}
+
+TEST(Scenario, DurationsThatDoNotFitSimDurationAreRejected) {
+  // 1e999 overflows to inf; 1e13 s is finite but 1e19 us overflows the
+  // int64 microseconds sim::seconds() would convert it to.
+  EXPECT_NE(error_of(R"({"commit_timeout_s": 1e999})").find("finite"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"commit_timeout_s": 1e13})")
+                .find("out of range for a simulated duration"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"duration_s": 9000000000000000})")
+                .find("\"duration_s\" is out of range"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"traffic": {"region_spread_ms": 1e16}})")
+                .find("\"region_spread_ms\" is out of range"),
+            std::string::npos);
+  EXPECT_NO_THROW((void)core::scenario_from_json(
+      R"({"commit_timeout_s": 100000, "duration_s": 100000})"));
+}
+
+TEST(Scenario, FaultTargetsMustFitANodeId) {
+  EXPECT_NE(error_of(R"({"fault_targets": [4294967296]})")
+                .find("ids must be < 2^32"),
+            std::string::npos);
+}
+
+// ------------------------------------------------------ set_scenario_key
+
+TEST(Scenario, SetScenarioKeyMatchesTheFileReader) {
+  core::ScenarioSpec flags;
+  core::set_scenario_key(flags, "chain", "solana");
+  core::set_scenario_key(flags, "fault", "eclipse");
+  core::set_scenario_key(flags, "eclipse_victim", "8");
+  core::set_scenario_key(flags, "eclipse_delay_s", "0.25");
+  core::set_scenario_key(flags, "fault_targets", "5,6");
+  core::set_scenario_key(flags, "extra_faults", "loss");
+  core::set_scenario_key(flags, "extra_faults", "gray");
+  core::set_scenario_key(flags, "chain_params", "misbehavior_ban=30");
+  core::set_scenario_key(flags, "seed", "7");
+  core::set_scenario_key(flags, "resilient", "true");
+  core::set_scenario_key(flags, "traffic.preset", "nft_mint");
+  const core::ScenarioSpec file = core::scenario_from_json(R"({
+    "chain": "solana", "fault": "eclipse", "eclipse_victim": 8,
+    "eclipse_delay_s": 0.25, "fault_targets": [5, 6],
+    "extra_faults": ["loss", "gray"],
+    "chain_params": {"misbehavior_ban": 30}, "seed": 7,
+    "resilient": true, "traffic": {"preset": "nft_mint"}})");
+  EXPECT_EQ(flags, file);
+  EXPECT_EQ(core::scenario_to_json(flags), core::scenario_to_json(file));
+}
+
+TEST(Scenario, SetScenarioKeyParsesTheWholeToken) {
+  const auto error_setting = [](const char* key, const char* text) {
+    core::ScenarioSpec spec;
+    try {
+      core::set_scenario_key(spec, key, text);
+      return std::string();
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+  };
+  EXPECT_NE(error_setting("seed", "12abc"), "");
+  EXPECT_NE(error_setting("matching", "abc"), "");
+  EXPECT_NE(error_setting("fault_targets", "0,x"), "");
+  EXPECT_NE(error_setting("fault_targets", "0,,1"), "");
+  EXPECT_NE(error_setting("fault_targets", ""), "");
+  EXPECT_NE(error_setting("loss_probability", "nan"), "");
+  EXPECT_NE(error_setting("commit_timeout_s", "1e999"), "");
+  EXPECT_NE(error_setting("duration_s", "60.5"), "");
+  EXPECT_NE(error_setting("resilient", "yes"), "");
+  EXPECT_NE(error_setting("chain_params", "cpu_target="), "");
+  EXPECT_NE(error_setting("chain_params", "=1"), "");
+  EXPECT_NE(error_setting("chain_params", R"(a=1, "b": 2)"), "");
+  EXPECT_NE(error_setting("trace", "a\"b"), "");
+  EXPECT_NE(error_setting("traffic", "{}"), "");
+  EXPECT_NE(error_setting("traffic.hot", "0.3").find("traffic.hot"),
+            std::string::npos);
+  EXPECT_NE(error_setting("chian", "redbelly").find("unknown key"),
+            std::string::npos);
+  EXPECT_EQ(error_setting("seed", "12"), "");
+  EXPECT_EQ(error_setting("duration_s", "60.0"), "");
+}
+
+TEST(Scenario, ParseTextHelpersAreStrict) {
+  EXPECT_EQ(core::parse_integer_text("12", "--trials"), 12);
+  EXPECT_DOUBLE_EQ(core::parse_number_text("0.5", "--max-idle"), 0.5);
+  EXPECT_THROW((void)core::parse_integer_text("12abc", "--trials"),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::parse_integer_text("1.5", "--trials"),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::parse_integer_text("", "--trials"),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::parse_number_text("inf", "--max-idle"),
+               std::invalid_argument);
+}
+
 // --------------------------------------------------------------- resolve
 
 TEST(Scenario, ResolvePerformsTheHistoricalFlagPostprocessing) {
@@ -144,7 +254,28 @@ TEST(Scenario, ResolvePerformsTheHistoricalFlagPostprocessing) {
   EXPECT_EQ(plan.type, core::FaultType::kLoss);
   EXPECT_EQ(plan.inject_at, sim::sec(133));
   EXPECT_EQ(plan.recover_at, sim::sec(266));
-  EXPECT_DOUBLE_EQ(plan.loss_probability, 0.3);
+  EXPECT_DOUBLE_EQ(plan.params.loss_probability, 0.3);
+}
+
+TEST(Scenario, ComposedPlansShareTheBurstPhaseWindow) {
+  // The exchange_burst preset moves the primary window into the flash
+  // crowd (162.5 s - 187.5 s); composed plans must land in that same
+  // window, not the 133 s / 266 s thirds it replaced.
+  core::ScenarioSpec spec;
+  spec.fault = "partition";
+  spec.extra_faults = {"loss"};
+  spec.has_traffic = true;
+  spec.traffic.preset = "exchange_burst";
+  const core::ExperimentConfig config = core::resolve_scenario(spec).config;
+  EXPECT_EQ(config.inject_at, sim::ms(162500));
+  EXPECT_EQ(config.recover_at, sim::ms(187500));
+  ASSERT_EQ(config.extra_faults.plans.size(), 1u);
+  EXPECT_EQ(config.extra_faults.plans[0].inject_at, config.inject_at);
+  EXPECT_EQ(config.extra_faults.plans[0].recover_at, config.recover_at);
+  const core::FaultSchedule schedule = core::resolved_schedule(config);
+  ASSERT_EQ(schedule.plans.size(), 2u);
+  EXPECT_EQ(schedule.plans[1].inject_at, schedule.plans[0].inject_at);
+  EXPECT_EQ(schedule.plans[1].recover_at, schedule.plans[0].recover_at);
 }
 
 TEST(Scenario, ResolveRejectsUnknownNamesAndParameters) {

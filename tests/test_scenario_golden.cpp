@@ -1,0 +1,275 @@
+// Golden scenario dumps and a seeded mutation harness for the strict
+// scenario reader (core/scenario.hpp).
+//
+// tests/golden/scenario_dumps/ holds scenario_to_json(scenario_from_json(f))
+// for every examples/scenarios/*.json, plus all_keys.json: a spec with every
+// key set to a non-default value. The files come from this test's own dump
+// code (write_dumps below, run with STABL_WRITE_SCENARIO_DUMPS=<dir>) built
+// against the hand-written writer the key table replaced, so the
+// table-driven writer must reproduce them byte for byte.
+//
+// The mutation harness feeds the reader byte flips, deletions, insertions,
+// duplicated keys and truncations of the checked-in specs. Every mutant
+// must either parse and round-trip its own dump byte-identically, or throw
+// std::invalid_argument; a parsed mutant must also resolve or throw
+// std::invalid_argument. The mutants are drawn from a fixed seed, so a
+// failure names a reproducible input.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <random>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/scenario.hpp"
+
+namespace stabl {
+namespace {
+
+namespace fs = std::filesystem;
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// A spec with every key, traffic keys included, set to a valid
+/// non-default value.
+core::ScenarioSpec all_keys_spec() {
+  core::ScenarioSpec spec;
+  spec.name = "every key set";
+  spec.chain = "avalanche";
+  spec.chain_params = {{"cpu_target", 0.8}, {"throttling", 0.0}};
+  spec.fault = "partition";
+  spec.fault_targets = {6, 7};
+  spec.extra_faults = {"loss", "eclipse"};
+  spec.loss_probability = 0.35;
+  spec.throttle_bytes_per_s = 12345.5;
+  spec.gray_delay_s = 1.25;
+  spec.eclipse_victim = 8;
+  spec.eclipse_delay_s = 0.125;
+  spec.eclipse_filter = 0.3;
+  spec.duration_s = 90;
+  spec.seed = 1234567;
+  spec.num_seeds = 3;
+  spec.jobs = 2;
+  spec.workload = "bursty";
+  spec.has_traffic = true;
+  spec.traffic.preset = "nft_mint";
+  spec.traffic.shape = "diurnal";
+  spec.traffic.accounts_per_client = 16;
+  spec.traffic.zipf_exponent = 1.1;
+  spec.traffic.hot_fraction = 0.25;
+  spec.traffic.regions = 3;
+  spec.traffic.region_spread_ms = 55.5;
+  spec.traffic.diurnal_amplitude = 0.4;
+  spec.traffic.diurnal_period_s = 80.0;
+  spec.traffic.flash_at_s = 30.0;
+  spec.traffic.flash_duration_s = 20.0;
+  spec.traffic.flash_factor = 3.5;
+  spec.traffic.fault_phase = "burst";
+  spec.fanout = 2;
+  spec.matching = 1;
+  spec.vcpus = 6.5;
+  spec.resilient = true;
+  spec.commit_timeout_s = 7.5;
+  spec.hedge = true;
+  spec.hedge_percentile = 0.9;
+  spec.hedge_min_delay_s = 0.5;
+  spec.hedge_max_delay_s = 4.0;
+  spec.endpoint_scoring = true;
+  spec.chaos_trials = 4;
+  spec.shrink = true;
+  spec.chaos_adversarial = true;
+  spec.trace = "run.trace.json";
+  spec.metrics = "run.metrics.csv";
+  return spec;
+}
+
+std::vector<fs::path> checked_in_specs() {
+  std::vector<fs::path> specs;
+  for (const auto& entry : fs::directory_iterator(STABL_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".json") specs.push_back(entry.path());
+  }
+  std::sort(specs.begin(), specs.end());
+  return specs;
+}
+
+/// Golden file name -> dump, for every checked-in spec and all_keys.
+std::map<std::string, std::string> dumps() {
+  std::map<std::string, std::string> out;
+  for (const fs::path& path : checked_in_specs()) {
+    out[path.filename().string()] =
+        core::scenario_to_json(core::scenario_from_json(read_file(path)));
+  }
+  out["all_keys.json"] = core::scenario_to_json(all_keys_spec());
+  return out;
+}
+
+const fs::path kDumpDir = fs::path(STABL_TEST_GOLDEN_DIR) / "scenario_dumps";
+
+// --------------------------------------------------------------- goldens
+
+TEST(ScenarioGolden, WriterReproducesEveryDumpByteForByte) {
+  const std::map<std::string, std::string> expected = dumps();
+  if (const char* dir = std::getenv("STABL_WRITE_SCENARIO_DUMPS")) {
+    for (const auto& [name, dump] : expected) {
+      std::ofstream(fs::path(dir) / name, std::ios::binary) << dump;
+    }
+    GTEST_SKIP() << "wrote " << expected.size() << " dumps to " << dir;
+  }
+  std::size_t goldens = 0;
+  for (const auto& entry : fs::directory_iterator(kDumpDir)) {
+    ++goldens;
+    EXPECT_EQ(expected.count(entry.path().filename().string()), 1u)
+        << "stale golden " << entry.path();
+  }
+  EXPECT_EQ(goldens, expected.size());
+  for (const auto& [name, dump] : expected) {
+    EXPECT_EQ(dump, read_file(kDumpDir / name)) << name;
+  }
+}
+
+TEST(ScenarioGolden, AllKeysSpecSetsEveryKeyAndRoundTrips) {
+  // Line by line against the defaults (traffic object forced on so its
+  // keys are present): only the "traffic" opener may agree.
+  core::ScenarioSpec defaults;
+  defaults.has_traffic = true;
+  std::istringstream ours(core::scenario_to_json(all_keys_spec()));
+  std::istringstream theirs(core::scenario_to_json(defaults));
+  std::string line;
+  std::string default_line;
+  std::size_t keys = 0;
+  while (std::getline(ours, line)) {
+    ASSERT_TRUE(std::getline(theirs, default_line));
+    if (line.find("\": ") == std::string::npos) continue;
+    if (line.find("\"traffic\": {") != std::string::npos) continue;
+    ++keys;
+    EXPECT_NE(line, default_line);
+  }
+  EXPECT_EQ(keys, 32u + 13u);  // every top-level key but traffic, and
+                               // every traffic key
+  const std::string json = core::scenario_to_json(all_keys_spec());
+  EXPECT_EQ(core::scenario_from_json(json), all_keys_spec());
+  EXPECT_EQ(core::scenario_to_json(core::scenario_from_json(json)), json);
+}
+
+// ------------------------------------------------------ mutation harness
+
+/// Mutant sources: the checked-in files as written and their dumps.
+std::vector<std::string> corpus() {
+  std::vector<std::string> inputs;
+  for (const fs::path& path : checked_in_specs()) {
+    inputs.push_back(read_file(path));
+  }
+  for (const auto& [name, dump] : dumps()) inputs.push_back(dump);
+  return inputs;
+}
+
+/// Fragments worth splicing in: JSON structure, non-finite and oversized
+/// numbers, stray quotes and escapes.
+const std::vector<std::string> kSplices = {
+    "\"",      "\\",           ",",         ":",        "{",
+    "}",       "[",            "]",         "-",        ".",
+    "e",       "0",            "9",         "nan",      "inf",
+    "-inf",    "infinity",     "1e999",     "-1e999",   "1e-999",
+    "0x1p4",   "4294967296",   "9e15",      "9e16",     "1e12",
+    "true",    "false",        "null",      "\"\"",     "[]",
+    "{}",      "\"seed\": 1, ", "\"traffic\": {}, ",   "\"x\": 1, ",
+    "\n",      std::string(1, '\0'),        "\xff"};
+
+std::string mutate(const std::string& input, std::mt19937_64& rng) {
+  std::string out = input;
+  const auto pick = [&rng](std::size_t bound) {
+    return bound == 0 ? std::size_t{0}
+                      : static_cast<std::size_t>(rng() % bound);
+  };
+  switch (rng() % 5) {
+    case 0:  // byte flip
+      if (!out.empty()) {
+        out[pick(out.size())] = static_cast<char>(rng() & 0xff);
+      }
+      break;
+    case 1: {  // deletion of 1-8 bytes
+      const std::size_t at = pick(out.size());
+      out.erase(at, 1 + pick(8));
+      break;
+    }
+    case 2:  // insertion
+      out.insert(pick(out.size() + 1), kSplices[pick(kSplices.size())]);
+      break;
+    case 3: {  // duplicated key: repeat one "key": value line
+      std::vector<std::size_t> starts;
+      for (std::size_t pos = out.find("\n  \""); pos != std::string::npos;
+           pos = out.find("\n  \"", pos + 1)) {
+        starts.push_back(pos + 1);
+      }
+      if (starts.empty()) break;
+      const std::size_t start = starts[pick(starts.size())];
+      std::size_t end = out.find('\n', start);
+      if (end == std::string::npos) end = out.size();
+      std::string line = out.substr(start, end - start);
+      if (line.empty() || line.back() != ',') line += ',';
+      out.insert(start, line + "\n");
+      break;
+    }
+    default:  // truncation
+      out.resize(pick(out.size()));
+      break;
+  }
+  return out;
+}
+
+TEST(ScenarioMutation, EveryMutantRoundTripsOrIsRejected) {
+  std::mt19937_64 rng(0x5eed5ca1eULL);
+  const std::vector<std::string> inputs = corpus();
+  ASSERT_FALSE(inputs.empty());
+  constexpr int kMutantsPerInput = 400;
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const std::string& input : inputs) {
+    for (int m = 0; m < kMutantsPerInput; ++m) {
+      std::string mutant = mutate(input, rng);
+      // Stack a second mutation on a third of the mutants.
+      if (rng() % 3 == 0) mutant = mutate(mutant, rng);
+      core::ScenarioSpec spec;
+      try {
+        spec = core::scenario_from_json(mutant);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      const std::string dump = core::scenario_to_json(spec);
+      try {
+        EXPECT_EQ(core::scenario_to_json(core::scenario_from_json(dump)),
+                  dump)
+            << "mutant:\n" << mutant;
+      } catch (const std::invalid_argument& error) {
+        ADD_FAILURE() << "dump of an accepted mutant does not parse: "
+                      << error.what() << "\nmutant:\n" << mutant;
+      }
+      try {
+        (void)core::resolve_scenario(spec);
+      } catch (const std::invalid_argument&) {
+        // Unknown chain/fault names and parameters resolve to errors.
+      }
+    }
+  }
+  // Both outcomes must actually occur, or the mutations are too weak (or
+  // too destructive) to exercise the reader.
+  EXPECT_GT(parsed, inputs.size() * 10);
+  EXPECT_GT(rejected, inputs.size() * 10);
+}
+
+}  // namespace
+}  // namespace stabl
