@@ -96,6 +96,21 @@ inline std::int64_t integer_or_exit(const char* argv0,
   }
 }
 
+/// A positional run length under stabl_cli's --duration rule: whole
+/// seconds, >= 30, and below 1e12 s so it fits a simulated duration.
+inline long duration_or_exit(const char* argv0, const std::string& text) {
+  const std::int64_t seconds =
+      integer_or_exit(argv0, "duration_seconds", text);
+  if (seconds < 30) {
+    fail(argv0, "duration_seconds must be >= 30", help_hint(argv0));
+  }
+  if (seconds >= 1'000'000'000'000) {
+    fail(argv0, "duration_seconds is out of range for a simulated duration",
+         help_hint(argv0));
+  }
+  return static_cast<long>(seconds);
+}
+
 /// Writes `body` to `path`, exiting 1 on I/O failure. The harness's output
 /// files are small (traces a few MB at most), so one buffered fwrite is
 /// fine.

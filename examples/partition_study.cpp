@@ -57,11 +57,8 @@ int main(int argc, char** argv) {
       argc > 1
           ? cli::parse_chain_or_exit(argv[1], argv[0], cli::help_hint(argv[0]))
           : core::ChainKind::kRedbelly;
-  const long duration = argc > 2 ? std::atol(argv[2]) : 400;
-  if (duration < 30) {
-    cli::fail(argv[0], "duration_seconds must be >= 30",
-              cli::help_hint(argv[0]));
-  }
+  const long duration =
+      argc > 2 ? cli::duration_or_exit(argv[0], argv[2]) : 400;
 
   core::ExperimentConfig config;
   config.chain = chain;

@@ -6,6 +6,7 @@
 //
 // Usage: regression_gate [duration_seconds] [seed] [num_seeds] [jobs]
 // Exit code 0 = gate passed, 1 = violations found, 2 = usage error.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,9 +33,9 @@ void print_usage(std::FILE* out, const char* argv0) {
       "arguments:\n"
       "  duration_seconds  simulated seconds per run, >= 30 (default 400;\n"
       "                    shorter runs apply coarse sanity bounds only)\n"
-      "  seed              first RNG seed of the sweep (default 42)\n"
+      "  seed              first RNG seed of the sweep, >= 0 (default 42)\n"
       "  num_seeds         consecutive seeds per cell, >= 1 (default 1)\n"
-      "  jobs              worker threads, >= 1 (default: hardware\n"
+      "  jobs              worker threads, 1..1024 (default: hardware\n"
       "                    concurrency); results are identical for any\n"
       "                    value\n",
       argv0);
@@ -59,22 +60,28 @@ int main(int argc, char** argv) {
               "expected at most [duration_seconds] [seed] [num_seeds] [jobs]",
               cli::help_hint(argv[0]));
   }
-  const long duration_s = argc > 1 ? std::atol(argv[1]) : 400;
-  const unsigned long seed =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 42;
-  const long num_seeds = argc > 3 ? std::atol(argv[3]) : 1;
+  const auto positional = [&](int index, long fallback, const char* name) {
+    return argc > index ? cli::integer_or_exit(argv[0], name, argv[index])
+                        : fallback;
+  };
+  const long duration_s =
+      argc > 1 ? cli::duration_or_exit(argv[0], argv[1]) : 400;
+  const long seed_arg = positional(2, 42, "seed");
+  const long num_seeds = positional(3, 1, "num_seeds");
   const long jobs =
-      argc > 4 ? std::atol(argv[4]) : static_cast<long>(core::default_jobs());
-  if (duration_s < 30) {
-    cli::fail(argv[0], "duration_seconds must be >= 30",
-              cli::help_hint(argv[0]));
+      positional(4, std::min(core::default_jobs(), core::kMaxJobs), "jobs");
+  if (seed_arg < 0) {
+    cli::fail(argv[0], "seed must be >= 0", cli::help_hint(argv[0]));
   }
   if (num_seeds < 1) {
     cli::fail(argv[0], "num_seeds must be >= 1", cli::help_hint(argv[0]));
   }
-  if (jobs < 1) {
-    cli::fail(argv[0], "jobs must be >= 1", cli::help_hint(argv[0]));
+  if (jobs < 1 || jobs > static_cast<long>(core::kMaxJobs)) {
+    cli::fail(argv[0],
+              "jobs must be in [1, " + std::to_string(core::kMaxJobs) + "]",
+              cli::help_hint(argv[0]));
   }
+  const auto seed = static_cast<unsigned long>(seed_arg);
 
   core::CampaignConfig config;
   config.base.seed = seed;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "core/json.hpp"
 #include "core/parallel.hpp"
@@ -17,105 +19,154 @@
 namespace stabl::core {
 namespace {
 
-std::string plan_json(const FaultPlan& plan) {
-  const FaultParams& knobs = plan.params;
-  std::ostringstream out;
-  out << "{\"type\":\"" << to_string(plan.type) << "\",\"targets\":[";
-  for (std::size_t i = 0; i < plan.targets.size(); ++i) {
-    if (i > 0) out << ',';
-    out << plan.targets[i];
-  }
-  out << "],\"inject_at_s\":" << Table::num(sim::to_seconds(plan.inject_at), 3);
-  if (uses_recovery_window(plan.type)) {
-    out << ",\"recover_at_s\":"
-        << Table::num(sim::to_seconds(plan.recover_at), 3);
-  }
-  switch (plan.type) {
-    case FaultType::kDelay:
-      out << ",\"delay_s\":"
-          << Table::num(sim::to_seconds(knobs.delay_amount), 3);
-      break;
-    case FaultType::kChurn:
-      out << ",\"churn_down_s\":"
-          << Table::num(sim::to_seconds(knobs.churn_down), 3)
-          << ",\"churn_up_s\":"
-          << Table::num(sim::to_seconds(knobs.churn_up), 3);
-      break;
-    case FaultType::kLoss:
-      out << ",\"loss_probability\":" << Table::num(knobs.loss_probability, 2);
-      break;
-    case FaultType::kThrottle:
-      out << ",\"throttle_bytes_per_s\":"
-          << Table::num(knobs.throttle_bytes_per_s, 0);
-      break;
-    case FaultType::kGray:
-      out << ",\"gray_ms\":"
-          << Table::num(sim::to_seconds(knobs.gray_latency) * 1000.0, 0);
-      break;
-    case FaultType::kEclipse:
-      out << ",\"eclipse_victim\":" << knobs.eclipse_victim
-          << ",\"eclipse_ms\":"
-          << Table::num(sim::to_seconds(knobs.eclipse_delay) * 1000.0, 0)
-          << ",\"eclipse_filter\":" << Table::num(knobs.eclipse_filter, 2);
-      break;
-    default:
-      break;
-  }
-  out << '}';
-  return out.str();
+using Ids = std::vector<net::NodeId>;
+
+/// A plan field's member: a FaultPlan header field or a FaultParams knob.
+using PlanMember =
+    std::variant<FaultType FaultPlan::*, Ids FaultPlan::*,
+                 sim::Time FaultPlan::*, sim::Duration FaultParams::*,
+                 double FaultParams::*, net::NodeId FaultParams::*>;
+
+struct PlanField {
+  /// The one type that reads the field; kNone: every plan carries it.
+  FaultType owner;
+  const char* key;
+  PlanMember member;
+  /// A time's unit, in units per second: 1 (s) or 1000 (ms).
+  double per_second = 1.0;
+  /// Decimals printed (Table::num).
+  int precision = 0;
+};
+
+/// Every repro plan field, in file order. plan_json and parse_plan both
+/// walk this table.
+const PlanField kPlanFields[] = {
+    {FaultType::kNone, "type", &FaultPlan::type},
+    {FaultType::kNone, "targets", &FaultPlan::targets},
+    {FaultType::kNone, "inject_at_s", &FaultPlan::inject_at, 1, 3},
+    {FaultType::kNone, "recover_at_s", &FaultPlan::recover_at, 1, 3},
+    {FaultType::kDelay, "delay_s", &FaultParams::delay_amount, 1, 3},
+    {FaultType::kChurn, "churn_down_s", &FaultParams::churn_down, 1, 3},
+    {FaultType::kChurn, "churn_up_s", &FaultParams::churn_up, 1, 3},
+    {FaultType::kLoss, "loss_probability", &FaultParams::loss_probability, 1,
+     2},
+    {FaultType::kThrottle, "throttle_bytes_per_s",
+     &FaultParams::throttle_bytes_per_s},
+    {FaultType::kGray, "gray_ms", &FaultParams::gray_latency, 1000},
+    {FaultType::kEclipse, "eclipse_victim", &FaultParams::eclipse_victim},
+    {FaultType::kEclipse, "eclipse_ms", &FaultParams::eclipse_delay, 1000},
+    {FaultType::kEclipse, "eclipse_filter", &FaultParams::eclipse_filter, 1,
+     2},
+};
+
+bool carries(FaultType type, const PlanField& field) {
+  if (field.owner != FaultType::kNone) return field.owner == type;
+  // canonical() zeroes a recovery window the type never reads; the repro
+  // leaves it out.
+  return field.member != PlanMember(&FaultPlan::recover_at) ||
+         uses_recovery_window(type);
 }
 
+/// The field's value in `plan` (const or not).
+template <class Plan, class T>
+auto& member(Plan& plan, T FaultPlan::*m) {
+  return plan.*m;
+}
+template <class Plan, class T>
+auto& member(Plan& plan, T FaultParams::*m) {
+  return plan.params.*m;
+}
+
+template <class T, class Value>
+constexpr bool kIs = std::is_same_v<T, std::decay_t<Value>>;
+
+std::string plan_json(const FaultPlan& plan) {
+  std::string out = "{";
+  for (const PlanField& field : kPlanFields) {
+    if (!carries(plan.type, field)) continue;
+    out += (out.size() > 1 ? ",\"" : "\"") + std::string(field.key) + "\":";
+    std::visit(
+        [&](auto m) {
+          const auto& value = member(plan, m);
+          if constexpr (kIs<FaultType, decltype(value)>) {
+            out += '"' + to_string(value) + '"';
+          } else if constexpr (kIs<Ids, decltype(value)>) {
+            out += '[';
+            for (const net::NodeId id : value) {
+              out += (out.back() == '[' ? "" : ",") + std::to_string(id);
+            }
+            out += ']';
+          } else if constexpr (kIs<sim::Duration, decltype(value)>) {
+            out += Table::num(sim::to_seconds(value) * field.per_second,
+                              field.precision);
+          } else {  // double knobs and the eclipse victim
+            out += Table::num(value, field.precision);
+          }
+        },
+        field.member);
+  }
+  return out + '}';
+}
+
+/// Any field may appear on any plan, in any order (the type may come
+/// last); canonical() then resets the knobs the type does not read.
 FaultPlan parse_plan(JsonCursor& cursor) {
   FaultPlan plan;
-  FaultParams& knobs = plan.params;
-  cursor.expect('{');
-  bool first = true;
-  while (!cursor.consume('}')) {
-    if (!first) cursor.expect(',');
-    first = false;
-    const std::string key = cursor.parse_string();
-    cursor.expect(':');
-    if (key == "type") {
-      plan.type = fault_from_name(cursor.parse_string());
-    } else if (key == "targets") {
-      cursor.expect('[');
-      if (!cursor.consume(']')) {
-        do {
-          plan.targets.push_back(
-              static_cast<net::NodeId>(cursor.parse_number()));
-        } while (cursor.consume(','));
-        cursor.expect(']');
-      }
-    } else if (key == "inject_at_s") {
-      plan.inject_at = sim::seconds(cursor.parse_number());
-    } else if (key == "recover_at_s") {
-      plan.recover_at = sim::seconds(cursor.parse_number());
-    } else if (key == "delay_s") {
-      knobs.delay_amount = sim::seconds(cursor.parse_number());
-    } else if (key == "churn_down_s") {
-      knobs.churn_down = sim::seconds(cursor.parse_number());
-    } else if (key == "churn_up_s") {
-      knobs.churn_up = sim::seconds(cursor.parse_number());
-    } else if (key == "loss_probability") {
-      knobs.loss_probability = cursor.parse_number();
-    } else if (key == "throttle_bytes_per_s") {
-      knobs.throttle_bytes_per_s = cursor.parse_number();
-    } else if (key == "gray_ms") {
-      knobs.gray_latency = sim::seconds(cursor.parse_number() / 1000.0);
-    } else if (key == "eclipse_victim") {
-      knobs.eclipse_victim = static_cast<net::NodeId>(cursor.parse_number());
-    } else if (key == "eclipse_ms") {
-      knobs.eclipse_delay = sim::seconds(cursor.parse_number() / 1000.0);
-    } else if (key == "eclipse_filter") {
-      knobs.eclipse_filter = cursor.parse_number();
-    } else {
-      cursor.fail("unknown plan field \"" + key + "\"");
-    }
-  }
+  cursor.read_members(
+      "schedule: duplicate plan field \"", [&](const std::string& key) {
+        const PlanField* field = std::find_if(
+            std::begin(kPlanFields), std::end(kPlanFields),
+            [&](const PlanField& candidate) { return key == candidate.key; });
+        if (field == std::end(kPlanFields)) {
+          cursor.fail("unknown plan field \"" + key + "\"");
+        }
+        const std::string what = "schedule: \"" + key + "\"";
+        const auto node_id = [&] {
+          return static_cast<net::NodeId>(cursor.parse_integer(
+              what, 0, std::numeric_limits<net::NodeId>::max()));
+        };
+        std::visit(
+            [&](auto m) {
+              auto& value = member(plan, m);
+              if constexpr (kIs<FaultType, decltype(value)>) {
+                value = fault_from_name(cursor.parse_string());
+              } else if constexpr (kIs<Ids, decltype(value)>) {
+                cursor.read_list([&] { value.push_back(node_id()); });
+              } else if constexpr (kIs<sim::Duration, decltype(value)>) {
+                const double time = JsonCursor::in_sim_range(
+                    cursor.parse_finite(what), 1e6 / field->per_second, what);
+                value = sim::seconds(time / field->per_second);
+              } else if constexpr (kIs<net::NodeId, decltype(value)>) {
+                value = node_id();
+              } else {
+                value = cursor.parse_finite(what);
+              }
+            },
+            field->member);
+      });
   return canonical(plan);
 }
 
 }  // namespace
+
+// Defined beside kPlanFields: the table's owner column is the one list of
+// which fault type reads which knob.
+FaultPlan canonical(FaultPlan plan) {
+  const FaultPlan defaults;
+  for (const PlanField& field : kPlanFields) {
+    if (field.owner == FaultType::kNone || field.owner == plan.type) continue;
+    std::visit([&](auto m) { member(plan, m) = member(defaults, m); },
+               field.member);
+  }
+  if (!uses_recovery_window(plan.type)) plan.recover_at = sim::Time{0};
+  if (plan.type == FaultType::kNone ||
+      plan.type == FaultType::kSecureClient) {
+    plan.targets.clear();
+    plan.inject_at = sim::Time{0};
+  }
+  std::sort(plan.targets.begin(), plan.targets.end());
+  return plan;
+}
 
 ChaosGenConfig default_gen_for(sim::Duration duration) {
   ChaosGenConfig config;
@@ -235,30 +286,19 @@ FaultSchedule generate_schedule(sim::Rng& rng, const ChaosGenConfig& config) {
 }
 
 std::string schedule_to_json(const FaultSchedule& schedule) {
-  const FaultSchedule canon = canonical(schedule);
-  std::ostringstream out;
-  out << "{\"plans\":[";
-  for (std::size_t i = 0; i < canon.plans.size(); ++i) {
-    if (i > 0) out << ',';
-    out << plan_json(canon.plans[i]);
+  std::string out = "{\"plans\":[";
+  for (const FaultPlan& plan : canonical(schedule).plans) {
+    if (out.back() != '[') out += ',';
+    out += plan_json(plan);
   }
-  out << "]}";
-  return out.str();
+  return out + "]}";
 }
 
 FaultSchedule schedule_from_json(const std::string& json) {
   JsonCursor cursor(json);
-  cursor.expect('{');
-  if (cursor.parse_string() != "plans") cursor.fail("expected \"plans\"");
-  cursor.expect(':');
-  cursor.expect('[');
   FaultSchedule schedule;
-  if (!cursor.consume(']')) {
-    do {
-      schedule.add(parse_plan(cursor));
-    } while (cursor.consume(','));
-    cursor.expect(']');
-  }
+  cursor.expect_key('{', "plans");
+  cursor.read_list([&] { schedule.add(parse_plan(cursor)); });
   cursor.expect('}');
   cursor.finish();
   return schedule;

@@ -93,9 +93,10 @@ FaultSchedule generate_schedule(sim::Rng& rng, const ChaosGenConfig& config);
 /// to_json . from_json . to_json is byte-stable.
 std::string schedule_to_json(const FaultSchedule& schedule);
 
-/// Parse schedule_to_json output (a minimal JSON reader — objects, arrays,
-/// strings, numbers — sufficient for repro files, not a general parser).
-/// Throws std::invalid_argument on malformed input or unknown fields.
+/// Parse schedule_to_json output through core::JsonCursor's strict rules.
+/// Throws std::invalid_argument on malformed input, unknown or repeated
+/// fields, targets or eclipse victims outside [0, 2^32), non-finite knobs
+/// and times of 1e18 us or more.
 FaultSchedule schedule_from_json(const std::string& json);
 
 /// Re-runs a candidate schedule and reports the oracle verdict. The

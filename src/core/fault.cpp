@@ -196,38 +196,6 @@ std::string validate(const FaultPlan& plan, std::size_t n) {
   return error.str();
 }
 
-FaultPlan canonical(FaultPlan plan) {
-  const FaultParams defaults{};
-  FaultParams& knobs = plan.params;
-  if (!uses_recovery_window(plan.type)) plan.recover_at = sim::Time{0};
-  if (plan.type == FaultType::kNone ||
-      plan.type == FaultType::kSecureClient) {
-    plan.targets.clear();
-    plan.inject_at = sim::Time{0};
-  }
-  if (plan.type != FaultType::kDelay) {
-    knobs.delay_amount = defaults.delay_amount;
-  }
-  if (plan.type != FaultType::kChurn) {
-    knobs.churn_down = defaults.churn_down;
-    knobs.churn_up = defaults.churn_up;
-  }
-  if (plan.type != FaultType::kLoss) {
-    knobs.loss_probability = defaults.loss_probability;
-  }
-  if (plan.type != FaultType::kThrottle) {
-    knobs.throttle_bytes_per_s = defaults.throttle_bytes_per_s;
-  }
-  if (plan.type != FaultType::kGray) knobs.gray_latency = defaults.gray_latency;
-  if (plan.type != FaultType::kEclipse) {
-    knobs.eclipse_victim = defaults.eclipse_victim;
-    knobs.eclipse_delay = defaults.eclipse_delay;
-    knobs.eclipse_filter = defaults.eclipse_filter;
-  }
-  std::sort(plan.targets.begin(), plan.targets.end());
-  return plan;
-}
-
 FaultSchedule canonical(FaultSchedule schedule) {
   for (FaultPlan& plan : schedule.plans) plan = canonical(std::move(plan));
   return schedule;

@@ -133,7 +133,8 @@ struct FaultPlan {
 /// knob is reset to its default on every type that does not use it,
 /// kNone/kSecureClient additionally drop targets and inject_at, and
 /// targets are sorted. The chaos generator and the schedule JSON
-/// serializer only ever produce canonical plans.
+/// serializer only ever produce canonical plans. Which type reads which
+/// knob is the owner column of the repro field table in core/chaos.cpp.
 [[nodiscard]] FaultPlan canonical(FaultPlan plan);
 
 /// An arbitrary list of fault plans armed together. Windows may overlap:

@@ -194,112 +194,60 @@ std::string MetricsRegistry::to_json() const {
 }
 
 MetricsRegistry metrics_from_json(const std::string& json) {
-  MetricsRegistry registry;
   JsonCursor cursor(json);
-  cursor.expect('{');
-
-  if (cursor.parse_string() != "times_s") cursor.fail("expected \"times_s\"");
-  cursor.expect(':');
-  cursor.expect('[');
+  const auto numbers = [&](std::vector<double>& out) {
+    cursor.read_list([&] { out.push_back(cursor.parse_number()); });
+  };
   std::vector<double> times;
-  if (!cursor.consume(']')) {
-    do {
-      times.push_back(cursor.parse_number());
-    } while (cursor.consume(','));
-    cursor.expect(']');
-  }
-
-  cursor.expect(',');
-  if (cursor.parse_string() != "series") cursor.fail("expected \"series\"");
-  cursor.expect(':');
-  cursor.expect('[');
   std::vector<MetricSeries> series;
-  if (!cursor.consume(']')) {
-    do {
-      MetricSeries s;
-      cursor.expect('{');
-      if (cursor.parse_string() != "name") cursor.fail("expected \"name\"");
-      cursor.expect(':');
-      s.name = cursor.parse_string();
-      cursor.expect(',');
-      if (cursor.parse_string() != "samples") {
-        cursor.fail("expected \"samples\"");
-      }
-      cursor.expect(':');
-      cursor.expect('[');
-      if (!cursor.consume(']')) {
-        do {
-          s.samples.push_back(cursor.parse_number());
-        } while (cursor.consume(','));
-        cursor.expect(']');
-      }
-      cursor.expect('}');
-      series.push_back(std::move(s));
-    } while (cursor.consume(','));
-    cursor.expect(']');
-  }
-
-  cursor.expect(',');
-  if (cursor.parse_string() != "histograms") {
-    cursor.fail("expected \"histograms\"");
-  }
-  cursor.expect(':');
-  cursor.expect('[');
   std::vector<Histogram> histograms;
-  if (!cursor.consume(']')) {
-    do {
-      Histogram hist;
-      cursor.expect('{');
-      if (cursor.parse_string() != "name") cursor.fail("expected \"name\"");
-      cursor.expect(':');
-      hist.name = cursor.parse_string();
-      cursor.expect(',');
-      if (cursor.parse_string() != "bounds") cursor.fail("expected \"bounds\"");
-      cursor.expect(':');
-      cursor.expect('[');
-      if (!cursor.consume(']')) {
-        do {
-          hist.bounds.push_back(cursor.parse_number());
-        } while (cursor.consume(','));
-        cursor.expect(']');
-      }
-      cursor.expect(',');
-      if (cursor.parse_string() != "counts") cursor.fail("expected \"counts\"");
-      cursor.expect(':');
-      cursor.expect('[');
-      hist.counts.clear();
-      if (!cursor.consume(']')) {
-        do {
-          hist.counts.push_back(
-              static_cast<std::uint64_t>(cursor.parse_number()));
-        } while (cursor.consume(','));
-        cursor.expect(']');
-      }
-      cursor.expect(',');
-      if (cursor.parse_string() != "sum") cursor.fail("expected \"sum\"");
-      cursor.expect(':');
-      hist.sum = cursor.parse_number();
-      cursor.expect('}');
-      for (const std::uint64_t c : hist.counts) hist.total += c;
-      histograms.push_back(std::move(hist));
-    } while (cursor.consume(','));
-    cursor.expect(']');
-  }
   std::vector<std::string> notes;
-  if (cursor.consume(',')) {
-    if (cursor.parse_string() != "notes") cursor.fail("expected \"notes\"");
-    cursor.expect(':');
-    cursor.expect('[');
-    if (!cursor.consume(']')) {
-      do {
-        notes.push_back(cursor.parse_string());
-      } while (cursor.consume(','));
-      cursor.expect(']');
+
+  cursor.expect_key('{', "times_s");
+  numbers(times);
+  cursor.expect_key(',', "series");
+  cursor.read_list([&] {
+    MetricSeries& s = series.emplace_back();
+    cursor.expect_key('{', "name");
+    s.name = cursor.parse_string();
+    cursor.expect_key(',', "samples");
+    numbers(s.samples);
+    // to_csv reads one sample per series per sample time.
+    if (s.samples.size() != times.size()) {
+      cursor.fail("series \"" + s.name + "\" needs one sample per time");
     }
+    cursor.expect('}');
+  });
+  cursor.expect_key(',', "histograms");
+  cursor.read_list([&] {
+    Histogram& hist = histograms.emplace_back();
+    cursor.expect_key('{', "name");
+    hist.name = cursor.parse_string();
+    cursor.expect_key(',', "bounds");
+    numbers(hist.bounds);
+    cursor.expect_key(',', "counts");
+    cursor.read_list([&] {
+      hist.counts.push_back(static_cast<std::uint64_t>(
+          cursor.parse_integer("metrics: \"counts\"", 0)));
+      hist.total += hist.counts.back();
+    });
+    // observe() indexes counts by bucket: one per bound plus overflow.
+    if (hist.counts.size() != hist.bounds.size() + 1) {
+      cursor.fail("histogram \"" + hist.name +
+                  "\" needs one count per bound plus one");
+    }
+    cursor.expect_key(',', "sum");
+    hist.sum = cursor.parse_number();
+    cursor.expect('}');
+  });
+  if (cursor.peek() == ',') {
+    cursor.expect_key(',', "notes");
+    cursor.read_list([&] { notes.push_back(cursor.parse_string()); });
   }
   cursor.expect('}');
   cursor.finish();
 
+  MetricsRegistry registry;
   registry.restore(std::move(times), std::move(series),
                    std::move(histograms), std::move(notes));
   return registry;

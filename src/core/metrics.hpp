@@ -64,9 +64,10 @@ class MetricsRegistry {
  public:
   using Probe = std::function<double()>;
 
-  /// Register a probe sampled every tick. Gauges and counters share the
-  /// sampling machinery; the distinction is documentation (a counter probe
-  /// should be monotone).
+  /// Register a probe sampled every tick, before the first sample(), so
+  /// every series holds one sample per sample time. Gauges and counters
+  /// share the sampling machinery; the distinction is documentation (a
+  /// counter probe should be monotone).
   void add_gauge(std::string name, Probe probe);
   void add_counter(std::string name, Probe probe);
 
@@ -127,7 +128,10 @@ class MetricsRegistry {
 
 /// Parse a document produced by MetricsRegistry::to_json back into a
 /// registry (samples and histograms only — probes are not serializable).
-/// Re-serializing the result is byte-identical to the input.
+/// Re-serializing the result is byte-identical to the input. Throws
+/// std::invalid_argument on malformed input, a series without one sample
+/// per sample time, counts that are not whole numbers >= 0, or a histogram
+/// without one count per bound plus one.
 MetricsRegistry metrics_from_json(const std::string& json);
 
 /// Samples a MetricsRegistry every `period` of sim time, implemented as a

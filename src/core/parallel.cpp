@@ -150,7 +150,7 @@ std::vector<double> run_grid_indexed(
   std::vector<double> wall_ms(count, 0.0);
   std::mutex progress_mutex;
   Heartbeat beat(label, count, heartbeat);
-  ThreadPool pool(jobs);
+  ThreadPool pool(grid_lanes(count, jobs));
   pool.parallel_for(count, [&](std::size_t i) {
     const auto start = std::chrono::steady_clock::now();
     run_cell(i);

@@ -7,6 +7,7 @@
 // output byte-identical to serial output.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -22,6 +23,10 @@ namespace stabl::core {
 
 /// Lanes to use by default: the hardware concurrency, at least 1.
 unsigned default_jobs();
+
+/// The most lanes a caller may ask for ("jobs" in a scenario). A grid
+/// never starts more lanes than it has cells, whatever `jobs` says.
+inline constexpr unsigned kMaxJobs = 1024;
 
 /// Wall-clock campaign progress reporter: "label: done/total cells
 /// (pct) | rate cells/s | ETA", written to stderr as a carriage-return
@@ -109,6 +114,13 @@ struct GridResult {
   /// serializer.
   std::vector<double> wall_ms;
 };
+
+/// Lanes a grid of `cells` cells runs on: min(jobs, cells), at least 1,
+/// so a short grid never starts threads it has no cells for.
+inline unsigned grid_lanes(std::size_t cells, unsigned jobs) {
+  return static_cast<unsigned>(
+      std::max<std::size_t>(1, std::min<std::size_t>(jobs, cells)));
+}
 
 /// Untyped core of run_grid: run_cell(i) for every i in [0, count), then
 /// on_done(i) behind one mutex; returns each run_cell(i)'s wall-clock ms.

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <variant>
 
 #include "core/json.hpp"
+#include "core/parallel.hpp"
 
 namespace stabl::core {
 namespace {
@@ -30,59 +29,6 @@ void append_string(std::string& out, const std::string& value) {
   out += '"';
   out += value;  // harness strings never contain quotes or escapes
   out += '"';
-}
-
-bool parse_bool(JsonCursor& cursor) {
-  const bool value = cursor.peek() == 't';
-  for (const char c : std::string(value ? "true" : "false")) cursor.expect(c);
-  return value;
-}
-
-std::int64_t read_integer(JsonCursor& cursor, const std::string& key) {
-  const double value = cursor.parse_number();
-  if (value != std::floor(value) || std::abs(value) > 9e15) {
-    throw std::invalid_argument("scenario: \"" + key +
-                                "\" must be an integer");
-  }
-  return static_cast<std::int64_t>(value);
-}
-
-double read_number(JsonCursor& cursor, const std::string& key) {
-  const double value = cursor.parse_number();
-  if (!std::isfinite(value)) {
-    throw std::invalid_argument("scenario: \"" + key +
-                                "\" must be a finite number");
-  }
-  return value;
-}
-
-/// `[item, ...]`, calling read_item() once per element.
-template <class ReadItem>
-void read_list(JsonCursor& cursor, ReadItem read_item) {
-  cursor.expect('[');
-  if (cursor.consume(']')) return;
-  do {
-    read_item();
-  } while (cursor.consume(','));
-  cursor.expect(']');
-}
-
-/// `{"name": value, ...}`, calling read_member(name) with the cursor on
-/// the value. A repeated name throws "scenario: <duplicate><name>\"".
-template <class ReadMember>
-void read_members(JsonCursor& cursor, const std::string& duplicate,
-                  ReadMember read_member) {
-  std::set<std::string> seen;
-  cursor.expect('{');
-  for (bool first = true; !cursor.consume('}'); first = false) {
-    if (!first) cursor.expect(',');
-    const std::string name = cursor.parse_string();
-    cursor.expect(':');
-    if (!seen.insert(name).second) {
-      throw std::invalid_argument("scenario: " + duplicate + name + "\"");
-    }
-    read_member(name);
-  }
 }
 
 template <class T, class WriteItem>
@@ -279,53 +225,44 @@ void read_object(JsonCursor& cursor, S& s);
 template <class S>
 void read_value(JsonCursor& cursor, S& s, const Field<S>& field) {
   const std::string key = field.key;
+  const std::string what = "scenario: \"" + key + "\"";
   const auto duration = [&](double value) {
-    const double us = field.unit == Unit::kSeconds ? 1e6 : 1e3;
-    if (field.unit != Unit::kNone && !(std::abs(value) * us < 1e18)) {
-      throw std::invalid_argument("scenario: \"" + key +
-                                  "\" is out of range for a simulated "
-                                  "duration");
-    }
-    return value;
+    if (field.unit == Unit::kNone) return value;
+    return JsonCursor::in_sim_range(
+        value, field.unit == Unit::kSeconds ? 1e6 : 1e3, what);
   };
   std::visit(
       Overloaded{
           [&](std::string S::*m) { s.*m = cursor.parse_string(); },
-          [&](double S::*m) { s.*m = duration(read_number(cursor, key)); },
+          [&](double S::*m) { s.*m = duration(cursor.parse_finite(what)); },
           [&](std::int64_t S::*m) {
-            s.*m = read_integer(cursor, key);
+            s.*m = cursor.parse_integer(what);
             duration(static_cast<double>(s.*m));
           },
           [&](std::uint64_t S::*m) {
-            const std::int64_t seed = read_integer(cursor, key);
-            if (seed < 0) {
-              throw std::invalid_argument("scenario: \"" + key +
-                                          "\" must be >= 0");
-            }
-            s.*m = static_cast<std::uint64_t>(seed);
+            s.*m = static_cast<std::uint64_t>(cursor.parse_integer(what, 0));
           },
-          [&](bool S::*m) { s.*m = parse_bool(cursor); },
+          [&](bool S::*m) { s.*m = cursor.parse_bool(); },
           [&](Ids S::*m) {
-            read_list(cursor, [&] {
-              const std::int64_t id = read_integer(cursor, key);
+            cursor.read_list([&] {
+              const std::int64_t id = cursor.parse_integer(what);
               if (id < 0 || id > std::numeric_limits<net::NodeId>::max()) {
-                throw std::invalid_argument(
-                    "scenario: \"" + key + "\" ids must be " +
-                    (id < 0 ? ">= 0" : "< 2^32"));
+                throw std::invalid_argument(what + " ids must be " +
+                                            (id < 0 ? ">= 0" : "< 2^32"));
               }
               (s.*m).push_back(static_cast<net::NodeId>(id));
             });
           },
           [&](Names S::*m) {
-            read_list(cursor,
-                      [&] { (s.*m).push_back(cursor.parse_string()); });
+            cursor.read_list([&] { (s.*m).push_back(cursor.parse_string()); });
           },
           [&](chain::ChainParams S::*m) {
-            read_members(cursor, "duplicate chain parameter \"",
-                         [&](const std::string& param) {
-                           (s.*m)[param] =
-                               read_number(cursor, key + "." + param);
-                         });
+            cursor.read_members(
+                "scenario: duplicate chain parameter \"",
+                [&](const std::string& param) {
+                  (s.*m)[param] = cursor.parse_finite(
+                      "scenario: \"" + key + "." + param + "\"");
+                });
           },
           [&](Traffic S::*m) {
             if constexpr (std::is_same_v<S, Spec>) {
@@ -339,10 +276,11 @@ void read_value(JsonCursor& cursor, S& s, const Field<S>& field) {
 
 template <class S>
 void read_object(JsonCursor& cursor, S& s) {
-  read_members(cursor, "duplicate key \"" + std::string(Table<S>::prefix),
-               [&](const std::string& key) {
-                 read_value(cursor, s, find_field<S>(key));
-               });
+  cursor.read_members(
+      "scenario: duplicate key \"" + std::string(Table<S>::prefix),
+      [&](const std::string& key) {
+        read_value(cursor, s, find_field<S>(key));
+      });
 }
 
 /// Sets one key from flag text: the text is rewritten as the JSON value
@@ -395,7 +333,7 @@ auto parse_text(const std::string& text, const std::string& what,
                 const char* expected, Read read) {
   try {
     JsonCursor cursor(text);
-    const auto value = read(cursor, what);
+    const auto value = read(cursor);
     cursor.finish();
     return value;
   } catch (const std::invalid_argument&) {
@@ -418,6 +356,9 @@ std::string validate_scenario(const ScenarioSpec& spec) {
     error << "\"num_seeds\" must be >= 1 (got " << spec.num_seeds << ")";
   } else if (spec.jobs < 1) {
     error << "\"jobs\" must be >= 1 (got " << spec.jobs << ")";
+  } else if (spec.jobs > kMaxJobs) {
+    error << "\"jobs\" must be <= " << kMaxJobs << " (got " << spec.jobs
+          << ")";
   } else if (spec.chaos_trials < 0) {
     error << "\"chaos_trials\" must be >= 0 (got " << spec.chaos_trials
           << ")";
@@ -438,6 +379,9 @@ std::string validate_scenario(const ScenarioSpec& spec) {
           << fmt_double(spec.gray_delay_s) << ")";
   } else if (spec.eclipse_victim < 0) {
     error << "\"eclipse_victim\" must be >= 0 (got " << spec.eclipse_victim
+          << ")";
+  } else if (spec.eclipse_victim > std::numeric_limits<net::NodeId>::max()) {
+    error << "\"eclipse_victim\" must be < 2^32 (got " << spec.eclipse_victim
           << ")";
   } else if (spec.eclipse_delay_s < 0.0) {
     error << "\"eclipse_delay_s\" must be >= 0 (got "
@@ -508,12 +452,15 @@ void set_scenario_key(ScenarioSpec& spec, const std::string& key,
 }
 
 double parse_number_text(const std::string& text, const std::string& what) {
-  return parse_text(text, what, "a finite number", read_number);
+  return parse_text(text, what, "a finite number",
+                    [&](JsonCursor& cursor) { return cursor.parse_finite(what); });
 }
 
 std::int64_t parse_integer_text(const std::string& text,
                                 const std::string& what) {
-  return parse_text(text, what, "an integer", read_integer);
+  return parse_text(text, what, "an integer", [&](JsonCursor& cursor) {
+    return cursor.parse_integer(what);
+  });
 }
 
 ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {

@@ -48,14 +48,16 @@ struct ScenarioSpec {
   double loss_probability = 0.2;
   double throttle_bytes_per_s = 64.0 * 1024.0;
   double gray_delay_s = 2.0;
-  /// kEclipse knobs: victim node, per-packet interception delay, and the
-  /// probability an intercepted packet is silently dropped.
+  /// kEclipse knobs: victim node (a node id, [0, 2^32)), per-packet
+  /// interception delay, and the probability an intercepted packet is
+  /// silently dropped.
   std::int64_t eclipse_victim = 9;
   double eclipse_delay_s = 0.5;
   double eclipse_filter = 0.2;
   std::int64_t duration_s = 400;
   std::uint64_t seed = 42;
   std::int64_t num_seeds = 1;
+  /// Grid lanes, [1, kMaxJobs] (core/parallel.hpp).
   std::int64_t jobs = 1;
   /// Arrival shape (core/traffic.hpp workload_shape_names()); the traffic
   /// object's "shape", when present, takes precedence.
@@ -92,7 +94,8 @@ struct ScenarioSpec {
 };
 
 /// Range/consistency validation that needs no registry: duration >= 30 s,
-/// seeds/jobs >= 1, probability in (0, 1], known workload shape, ...
+/// seeds >= 1, jobs in [1, kMaxJobs], probability in (0, 1], eclipse
+/// victim in [0, 2^32), known workload shape, ...
 /// Returns an empty string when well-formed, else a human-readable error.
 /// Name lookups (chain, fault, chain_params keys) happen when the
 /// scenario resolves, against whatever chains the binary registered.

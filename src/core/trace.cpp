@@ -1,6 +1,7 @@
 #include "core/trace.hpp"
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -102,135 +103,73 @@ std::string trace_to_json(const sim::TraceSink& sink) {
   return out.str();
 }
 
-namespace {
-
-/// Skip any JSON value (the args bodies are free-form objects).
-void skip_value(JsonCursor& cursor) {
-  const char c = cursor.peek();
-  if (c == '"') {
-    cursor.parse_string();
-  } else if (c == '{') {
-    cursor.expect('{');
-    if (!cursor.consume('}')) {
-      do {
-        cursor.parse_string();
-        cursor.expect(':');
-        skip_value(cursor);
-      } while (cursor.consume(','));
-      cursor.expect('}');
-    }
-  } else if (c == '[') {
-    cursor.expect('[');
-    if (!cursor.consume(']')) {
-      do {
-        skip_value(cursor);
-      } while (cursor.consume(','));
-      cursor.expect(']');
-    }
-  } else if (c == 't') {
-    for (const char l : {'t', 'r', 'u', 'e'}) cursor.expect(l);
-  } else if (c == 'f') {
-    for (const char l : {'f', 'a', 'l', 's', 'e'}) cursor.expect(l);
-  } else if (c == 'n') {
-    for (const char l : {'n', 'u', 'l', 'l'}) cursor.expect(l);
-  } else {
-    cursor.parse_number();
-  }
-}
-
-}  // namespace
-
 TraceStats validate_trace_json(const std::string& json) {
   TraceStats stats;
   std::set<std::int32_t> tids;
   std::map<std::int32_t, int> open_spans;  // B/E nesting depth per track
 
   JsonCursor cursor(json);
-  cursor.expect('{');
-  if (cursor.parse_string() != "displayTimeUnit") {
-    cursor.fail("expected \"displayTimeUnit\"");
-  }
-  cursor.expect(':');
+  cursor.expect_key('{', "displayTimeUnit");
   if (cursor.parse_string() != "ms") cursor.fail("displayTimeUnit must be ms");
-  cursor.expect(',');
-  if (cursor.parse_string() != "traceEvents") {
-    cursor.fail("expected \"traceEvents\"");
-  }
-  cursor.expect(':');
-  cursor.expect('[');
-  if (!cursor.consume(']')) {
-    do {
-      cursor.expect('{');
-      std::string ph;
-      bool has_name = false, has_ts = false, has_pid = false;
-      bool has_tid = false, has_id = false, has_args = false;
-      double ts = 0.0;
-      std::int32_t tid = 0;
-      bool event_first = true;
-      while (!cursor.consume('}')) {
-        if (!event_first) cursor.expect(',');
-        event_first = false;
-        const std::string key = cursor.parse_string();
-        cursor.expect(':');
-        if (key == "ph") {
-          ph = cursor.parse_string();
-        } else if (key == "name") {
-          cursor.parse_string();
-          has_name = true;
-        } else if (key == "ts") {
-          ts = cursor.parse_number();
-          has_ts = true;
-        } else if (key == "pid") {
-          cursor.parse_number();
-          has_pid = true;
-        } else if (key == "tid") {
-          tid = static_cast<std::int32_t>(cursor.parse_number());
-          has_tid = true;
-        } else if (key == "id") {
-          cursor.parse_string();
-          has_id = true;
-        } else if (key == "args") {
-          skip_value(cursor);
-          has_args = true;
-        } else if (key == "cat" || key == "s") {
-          cursor.parse_string();
-        } else {
-          cursor.fail("unknown event key \"" + key + "\"");
-        }
-      }
-      if (!has_name || !has_pid || !has_tid) {
-        cursor.fail("event missing name/pid/tid");
-      }
-      if (ph == "M") {
-        if (!has_args) cursor.fail("metadata event missing args");
-        ++stats.metadata;
-      } else {
-        if (!has_ts) cursor.fail("trace event missing ts");
-        if (ts < 0.0) cursor.fail("negative timestamp");
-        tids.insert(tid);
-        ++stats.events;
-        if (ph == "B") {
-          ++stats.spans;
-          ++open_spans[tid];
-        } else if (ph == "E") {
-          if (--open_spans[tid] < 0) {
-            cursor.fail("unbalanced E on a track");
+  cursor.expect_key(',', "traceEvents");
+  cursor.read_list([&] {
+    std::string ph;
+    double ts = 0.0;
+    std::int32_t tid = 0;
+    std::set<std::string> keys;
+    cursor.read_members(
+        "trace JSON: duplicate event key \"", [&](const std::string& key) {
+          keys.insert(key);
+          if (key == "ph") {
+            ph = cursor.parse_string();
+          } else if (key == "ts") {
+            ts = cursor.parse_finite("trace JSON: \"ts\"");
+          } else if (key == "pid") {
+            cursor.parse_finite("trace JSON: \"pid\"");
+          } else if (key == "tid") {
+            tid = static_cast<std::int32_t>(cursor.parse_integer(
+                "trace JSON: \"tid\"",
+                std::numeric_limits<std::int32_t>::min(),
+                std::numeric_limits<std::int32_t>::max()));
+          } else if (key == "args") {
+            cursor.skip_value();
+          } else if (key == "name" || key == "id" || key == "cat" ||
+                     key == "s") {
+            cursor.parse_string();
+          } else {
+            cursor.fail("unknown event key \"" + key + "\"");
           }
-        } else if (ph == "i") {
-          ++stats.instants;
-        } else if (ph == "C") {
-          if (!has_args) cursor.fail("counter missing args.value");
-          ++stats.counters;
-        } else if (ph == "b" || ph == "e") {
-          if (!has_id) cursor.fail("async event missing id");
-          ++stats.asyncs;
-        } else {
-          cursor.fail("unknown phase \"" + ph + "\"");
-        }
-      }
-    } while (cursor.consume(','));
-    cursor.expect(']');
-  }
+        });
+    const auto has = [&](const char* key) { return keys.count(key) > 0; };
+    if (!has("name") || !has("pid") || !has("tid")) {
+      cursor.fail("event missing name/pid/tid");
+    }
+    if (ph == "M") {
+      if (!has("args")) cursor.fail("metadata event missing args");
+      ++stats.metadata;
+      return;
+    }
+    if (!has("ts")) cursor.fail("trace event missing ts");
+    if (ts < 0.0) cursor.fail("negative timestamp");
+    tids.insert(tid);
+    ++stats.events;
+    if (ph == "B") {
+      ++stats.spans;
+      ++open_spans[tid];
+    } else if (ph == "E") {
+      if (--open_spans[tid] < 0) cursor.fail("unbalanced E on a track");
+    } else if (ph == "i") {
+      ++stats.instants;
+    } else if (ph == "C") {
+      if (!has("args")) cursor.fail("counter missing args.value");
+      ++stats.counters;
+    } else if (ph == "b" || ph == "e") {
+      if (!has("id")) cursor.fail("async event missing id");
+      ++stats.asyncs;
+    } else {
+      cursor.fail("unknown phase \"" + ph + "\"");
+    }
+  });
   cursor.expect('}');
   cursor.finish();
 

@@ -44,9 +44,9 @@ struct TraceStats {
 
 /// Strictly validate a document produced by trace_to_json: top-level
 /// shape, required keys per phase ("ts"/"pid"/"tid" on trace events, "id"
-/// on async events, "args.value" on counters), non-negative timestamps and
-/// balanced B/E nesting per track. Throws std::invalid_argument with a
-/// byte offset on the first violation.
+/// on async events, "args.value" on counters), finite non-negative
+/// timestamps, tids that fit an int32, no repeated keys and balanced B/E
+/// nesting per track. Throws std::invalid_argument on the first violation.
 TraceStats validate_trace_json(const std::string& json);
 
 }  // namespace stabl::core

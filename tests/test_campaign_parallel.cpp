@@ -161,6 +161,20 @@ TEST(RunGrid, OnDoneOncePerCellNeverConcurrently) {
   for (const int count : calls) EXPECT_EQ(count, 1);
 }
 
+TEST(RunGrid, NeverStartsMoreLanesThanCells) {
+  // grid_lanes is what run_grid sizes its pool with; checking it directly
+  // proves the cap without starting a thread per requested lane.
+  EXPECT_EQ(grid_lanes(3, 1'000'000), 3u);
+  EXPECT_EQ(grid_lanes(100, 4), 4u);
+  EXPECT_EQ(grid_lanes(0, 8), 1u);
+  EXPECT_EQ(grid_lanes(5, 0), 1u);
+  const std::vector<int> cells{1, 2};
+  EXPECT_EQ(run_grid(cells, kMaxJobs, "test", false,
+                     [](const int& cell) { return cell * 10; })
+                .slots,
+            (std::vector<int>{10, 20}));
+}
+
 // ------------------------------------------------------------ paper_cell
 
 TEST(PaperCell, SecureClientGetsSection7GeometryAndDetachedObservers) {

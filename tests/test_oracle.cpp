@@ -287,34 +287,42 @@ TEST(OracleConsistency, RecoverySecondsMustMatchTheSeries) {
 // oracles. The chains that lose liveness by design (Solana panics,
 // Avalanche throttles itself to death) must come out as expected-loss —
 // evidence-backed — never as violations, and never as safety failures.
-TEST(OracleScriptedMatrix, NoFalsePositivesAcrossAllChainsAndFaults) {
+// One case per chain, so ctest can run the five chains side by side.
+class OracleScriptedMatrix : public ::testing::TestWithParam<ChainKind> {};
+
+TEST_P(OracleScriptedMatrix, NoFalsePositivesAcrossAllFaults) {
+  const ChainKind chain = GetParam();
   const FaultType kScripted[] = {
       FaultType::kCrash,  FaultType::kTransient, FaultType::kPartition,
       FaultType::kSecureClient, FaultType::kDelay, FaultType::kChurn,
       FaultType::kLoss,   FaultType::kThrottle,  FaultType::kGray};
-  for (const ChainKind chain : kAllChains) {
-    for (const FaultType fault : kScripted) {
-      ExperimentConfig config;
-      config.chain = chain;
-      config.fault = fault;
-      config.seed = 42;
-      config.duration = sim::sec(400);
-      config.inject_at = sim::sec(133);
-      config.recover_at = sim::sec(266);
-      config.capture_replicas = true;
-      if (fault == FaultType::kSecureClient) {
-        config.client_fanout = 4;
-        config.vcpus = 8.0;
-      }
-      const ExperimentResult result = run_experiment(config);
-      const OracleReport report =
-          check_invariants(make_oracle_context(config), result);
-      EXPECT_FALSE(report.violated())
-          << to_string(chain) << " x " << to_string(fault) << ": "
-          << report.summary();
+  for (const FaultType fault : kScripted) {
+    ExperimentConfig config;
+    config.chain = chain;
+    config.fault = fault;
+    config.seed = 42;
+    config.duration = sim::sec(400);
+    config.inject_at = sim::sec(133);
+    config.recover_at = sim::sec(266);
+    config.capture_replicas = true;
+    if (fault == FaultType::kSecureClient) {
+      config.client_fanout = 4;
+      config.vcpus = 8.0;
     }
+    const ExperimentResult result = run_experiment(config);
+    const OracleReport report =
+        check_invariants(make_oracle_context(config), result);
+    EXPECT_FALSE(report.violated())
+        << to_string(chain) << " x " << to_string(fault) << ": "
+        << report.summary();
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllChains, OracleScriptedMatrix, ::testing::ValuesIn(kAllChains),
+    [](const ::testing::TestParamInfo<ChainKind>& info) {
+      return to_string(info.param);
+    });
 
 // ------------------------------------------------- seeded toy-chain fork
 

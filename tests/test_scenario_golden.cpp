@@ -1,5 +1,6 @@
-// Golden scenario dumps and a seeded mutation harness for the strict
-// scenario reader (core/scenario.hpp).
+// Golden scenario dumps and a seeded mutation harness for the harness's
+// JSON readers (core/json.hpp): scenarios, chaos repros, metric dumps and
+// traces.
 //
 // tests/golden/scenario_dumps/ holds scenario_to_json(scenario_from_json(f))
 // for every examples/scenarios/*.json, plus all_keys.json: a spec with every
@@ -12,8 +13,12 @@
 // duplicated keys and truncations of the checked-in specs. Every mutant
 // must either parse and round-trip its own dump byte-identically, or throw
 // std::invalid_argument; a parsed mutant must also resolve or throw
-// std::invalid_argument. The mutants are drawn from a fixed seed, so a
-// failure names a reproducible input.
+// std::invalid_argument. The same mutator and rule run over chaos repros
+// (schedule_to_json of plain and adversarial generator output), metric
+// dumps (MetricsRegistry::to_json) and traces (trace_to_json, which must
+// validate or throw). The mutants are drawn from a fixed seed, so a
+// failure names a reproducible input. The ReaderRegression cases pin
+// inputs the chaos, metrics and trace readers once accepted.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +26,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <random>
 #include <sstream>
@@ -28,7 +34,11 @@
 #include <string>
 #include <vector>
 
+#include "core/chaos.hpp"
+#include "core/metrics.hpp"
 #include "core/scenario.hpp"
+#include "core/trace.hpp"
+#include "sim/trace.hpp"
 
 namespace stabl {
 namespace {
@@ -187,6 +197,40 @@ const std::vector<std::string> kSplices = {
     "{}",      "\"seed\": 1, ", "\"traffic\": {}, ",   "\"x\": 1, ",
     "\n",      std::string(1, '\0'),        "\xff"};
 
+/// Compact documents (chaos repros, metric dumps, traces) have no
+/// one-member lines: repeat one `"key":value` member in place instead.
+template <class Pick>
+void duplicate_compact_member(std::string& out, const Pick& pick) {
+  std::vector<std::size_t> starts;
+  for (std::size_t pos = 0; pos + 1 < out.size(); ++pos) {
+    if ((out[pos] == '{' || out[pos] == ',') && out[pos + 1] == '"') {
+      starts.push_back(pos + 1);
+    }
+  }
+  if (starts.empty()) return;
+  const std::size_t start = starts[pick(starts.size())];
+  // The member ends at the first ',' or closing bracket outside any
+  // string or nested value.
+  std::size_t end = start;
+  int depth = 0;
+  bool in_string = false;
+  for (; end < out.size(); ++end) {
+    const char c = out[end];
+    if (in_string) {
+      in_string = c != '"';
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '[' || c == '{') {
+      ++depth;
+    } else if ((c == ']' || c == '}') && depth-- == 0) {
+      break;
+    } else if (c == ',' && depth == 0) {
+      break;
+    }
+  }
+  out.insert(start, out.substr(start, end - start) + ",");
+}
+
 std::string mutate(const std::string& input, std::mt19937_64& rng) {
   std::string out = input;
   const auto pick = [&rng](std::size_t bound) {
@@ -213,7 +257,10 @@ std::string mutate(const std::string& input, std::mt19937_64& rng) {
            pos = out.find("\n  \"", pos + 1)) {
         starts.push_back(pos + 1);
       }
-      if (starts.empty()) break;
+      if (starts.empty()) {
+        duplicate_compact_member(out, pick);
+        break;
+      }
       const std::size_t start = starts[pick(starts.size())];
       std::size_t end = out.find('\n', start);
       if (end == std::string::npos) end = out.size();
@@ -233,7 +280,7 @@ TEST(ScenarioMutation, EveryMutantRoundTripsOrIsRejected) {
   std::mt19937_64 rng(0x5eed5ca1eULL);
   const std::vector<std::string> inputs = corpus();
   ASSERT_FALSE(inputs.empty());
-  constexpr int kMutantsPerInput = 400;
+  constexpr int kMutantsPerInput = 1000;
   std::size_t parsed = 0;
   std::size_t rejected = 0;
   for (const std::string& input : inputs) {
@@ -269,6 +316,234 @@ TEST(ScenarioMutation, EveryMutantRoundTripsOrIsRejected) {
   // too destructive) to exercise the reader.
   EXPECT_GT(parsed, inputs.size() * 10);
   EXPECT_GT(rejected, inputs.size() * 10);
+}
+
+// ------------------------------------- chaos, metrics and trace readers
+
+/// Chaos repros: plain and adversarial generator output.
+std::vector<std::string> schedule_corpus() {
+  sim::Rng rng(0xc4a05);
+  const core::ChaosGenConfig plain = core::default_gen_for(sim::sec(400));
+  const core::ChaosGenConfig adversarial =
+      core::adversarial_gen_for(sim::sec(400));
+  std::vector<std::string> inputs;
+  for (int i = 0; i < 8; ++i) {
+    inputs.push_back(
+        core::schedule_to_json(core::generate_schedule(rng, plain)));
+    inputs.push_back(
+        core::schedule_to_json(core::generate_schedule(rng, adversarial)));
+  }
+  return inputs;
+}
+
+/// Metric dumps: a hand-built registry (non-finite samples, notes) and the
+/// registry of a short real run.
+std::vector<std::string> metrics_corpus() {
+  core::MetricsRegistry registry;
+  double depth = 0.0;
+  registry.add_gauge("mempool_depth", [&] { return depth; });
+  registry.add_counter("votes", [&] { return depth * 3.0 + 0.125; });
+  for (const double value : {1.5, 3.0, 1e300, -2.25}) {
+    depth = value;
+    registry.sample(value);
+  }
+  core::Histogram& latency =
+      registry.histogram("commit_latency_s", {0.5, 1.0, 2.0});
+  for (const double value : {0.25, 1.75, 9.0}) latency.observe(value);
+  registry.histogram("empty", {});
+  registry.note("workload floor bound");
+  registry.detach_probes();
+
+  core::MetricsRegistry run;
+  core::ExperimentConfig config;
+  core::apply_run_window(config, 30);
+  config.metrics = &run;
+  (void)core::run_experiment(config);
+  return {registry.to_json(), core::MetricsRegistry{}.to_json(), run.to_json()};
+}
+
+std::string trace_document() {
+  sim::TraceSink sink;
+  core::name_cluster_tracks(sink, 2, 1);
+  sink.begin(0, sim::seconds(1.0), "round", "consensus", "\"round\":1");
+  sink.instant(1, sim::seconds(1.2), "commit", "chain",
+               "\"height\":3,\"ok\":true,\"tags\":[1,\"a\",null]");
+  sink.end(0, sim::seconds(1.4), "round");
+  sink.counter(sim::seconds(2.0), "depth", 1.25);
+  sink.async_begin(2, sim::seconds(0.1), 9, "txn", "txn", "\"nonce\":0");
+  sink.async_end(2, sim::seconds(2.1), 9, "txn", "txn");
+  sink.instant(core::kFaultsTrack, sim::seconds(1.0), "inject", "fault");
+  return core::trace_to_json(sink);
+}
+
+/// The scenario rule for any reader: every mutant of every input either
+/// throws std::invalid_argument or reads to a dump (read_dump's result)
+/// that reads back to itself.
+template <class ReadDump>
+void expect_mutants_round_trip_or_throw(
+    const std::vector<std::string>& inputs, std::uint64_t seed,
+    ReadDump read_dump) {
+  std::mt19937_64 rng(seed);
+  ASSERT_FALSE(inputs.empty());
+  constexpr int kMutantsPerInput = 1000;
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const std::string& input : inputs) {
+    ASSERT_EQ(read_dump(input), input) << "corpus input is not a dump";
+    for (int m = 0; m < kMutantsPerInput; ++m) {
+      std::string mutant = mutate(input, rng);
+      if (rng() % 3 == 0) mutant = mutate(mutant, rng);
+      std::string dump;
+      try {
+        dump = read_dump(mutant);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      try {
+        EXPECT_EQ(read_dump(dump), dump) << "mutant:\n" << mutant;
+      } catch (const std::invalid_argument& error) {
+        ADD_FAILURE() << "dump of an accepted mutant does not parse: "
+                      << error.what() << "\nmutant:\n" << mutant;
+      }
+    }
+  }
+  // Compact documents are mostly structure, so far fewer of their mutants
+  // parse than a pretty-printed spec's; both outcomes must still occur.
+  EXPECT_GT(parsed, inputs.size());
+  EXPECT_GT(rejected, inputs.size() * 10);
+}
+
+TEST(ReaderMutation, ScheduleMutantsRoundTripOrAreRejected) {
+  expect_mutants_round_trip_or_throw(
+      schedule_corpus(), 0xc4a05ca1eULL, [](const std::string& json) {
+        const core::FaultSchedule schedule = core::schedule_from_json(json);
+        for (const core::FaultPlan& plan : schedule.plans) {
+          (void)core::validate(plan, 10);
+        }
+        return core::schedule_to_json(schedule);
+      });
+}
+
+TEST(ReaderMutation, MetricsMutantsRoundTripOrAreRejected) {
+  expect_mutants_round_trip_or_throw(
+      metrics_corpus(), 0x3e791c5ULL, [](const std::string& json) {
+        const core::MetricsRegistry registry = core::metrics_from_json(json);
+        (void)registry.to_csv();
+        (void)registry.histograms_csv();
+        return registry.to_json();
+      });
+}
+
+TEST(ReaderMutation, TraceMutantsValidateOrAreRejected) {
+  expect_mutants_round_trip_or_throw(
+      {trace_document()}, 0x7ace5ULL, [](const std::string& json) {
+        (void)core::validate_trace_json(json);
+        return json;
+      });
+}
+
+// --------------------------------------------------- reader regressions
+
+void expect_rejected(const std::function<void()>& read) {
+  EXPECT_THROW(read(), std::invalid_argument);
+}
+
+void expect_schedule_rejected(const std::string& plan_fields) {
+  SCOPED_TRACE(plan_fields);
+  expect_rejected([&] {
+    (void)core::schedule_from_json("{\"plans\":[{" + plan_fields + "}]}");
+  });
+}
+
+const std::string kCrashPlan = "\"type\":\"crash\",\"inject_at_s\":30.000";
+
+TEST(ReaderRegression, ScheduleTargetAboveTheNodeIdRange) {
+  expect_schedule_rejected(kCrashPlan + ",\"targets\":[4294967296]");
+}
+
+TEST(ReaderRegression, ScheduleNegativeTarget) {
+  expect_schedule_rejected(kCrashPlan + ",\"targets\":[-1]");
+}
+
+TEST(ReaderRegression, ScheduleFractionalTarget) {
+  expect_schedule_rejected(kCrashPlan + ",\"targets\":[1.5]");
+}
+
+TEST(ReaderRegression, ScheduleNanLossProbability) {
+  expect_schedule_rejected(
+      "\"type\":\"loss\",\"targets\":[5],\"inject_at_s\":30.000,"
+      "\"recover_at_s\":60.000,\"loss_probability\":nan");
+}
+
+TEST(ReaderRegression, ScheduleInjectTimeOverflow) {
+  expect_schedule_rejected(
+      "\"type\":\"crash\",\"targets\":[5],\"inject_at_s\":1e999");
+}
+
+TEST(ReaderRegression, ScheduleDuplicateTypeKey) {
+  expect_schedule_rejected(kCrashPlan +
+                           ",\"targets\":[5],\"type\":\"partition\"");
+}
+
+TEST(ReaderRegression, ScheduleEclipseVictimAboveTheNodeIdRange) {
+  expect_schedule_rejected(
+      "\"type\":\"eclipse\",\"targets\":[5],\"inject_at_s\":30.000,"
+      "\"recover_at_s\":60.000,\"eclipse_victim\":4294967297,"
+      "\"eclipse_ms\":500,\"eclipse_filter\":0.20");
+}
+
+TEST(ReaderRegression, MetricsNegativeCount) {
+  expect_rejected([] {
+    (void)core::metrics_from_json(
+        "{\"times_s\":[],\"series\":[],\"histograms\":[{\"name\":\"h\","
+        "\"bounds\":[1.000000],\"counts\":[-1,0],\"sum\":0.000000}]}");
+  });
+}
+
+TEST(ReaderRegression, MetricsSeriesShorterThanItsTimes) {
+  // to_csv reads one sample per series per sample time.
+  expect_rejected([] {
+    (void)core::metrics_from_json(
+        "{\"times_s\":[1.000,2.000],\"series\":[{\"name\":\"s\","
+        "\"samples\":[1.000000]}],\"histograms\":[]}");
+  });
+}
+
+TEST(ReaderRegression, MetricsHistogramCountsDoNotMatchItsBounds) {
+  // observe() indexes counts by bucket: one per bound plus overflow.
+  expect_rejected([] {
+    (void)core::metrics_from_json(
+        "{\"times_s\":[],\"series\":[],\"histograms\":[{\"name\":\"h\","
+        "\"bounds\":[1.000000,2.000000],\"counts\":[0],\"sum\":0.000000}]}");
+  });
+}
+
+TEST(ReaderRegression, TraceNanTimestamp) {
+  expect_rejected([] {
+    (void)core::validate_trace_json(
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":\"x\","
+        "\"ph\":\"i\",\"ts\":nan,\"pid\":0,\"tid\":0,\"s\":\"t\"}]}");
+  });
+}
+
+TEST(ReaderRegression, TraceTidOutsideInt32) {
+  expect_rejected([] {
+    (void)core::validate_trace_json(
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":\"x\","
+        "\"ph\":\"i\",\"ts\":1,\"pid\":0,\"tid\":1e20,\"s\":\"t\"}]}");
+  });
+}
+
+TEST(ReaderRegression, TraceArgsNestedDeeperThanTheStack) {
+  expect_rejected([] {
+    const std::size_t depth = 10'000'000;
+    (void)core::validate_trace_json(
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":\"x\","
+        "\"ph\":\"i\",\"ts\":1,\"pid\":0,\"tid\":0,\"args\":" +
+        std::string(depth, '[') + std::string(depth, ']') + "}]}");
+  });
 }
 
 }  // namespace

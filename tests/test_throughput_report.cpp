@@ -2,6 +2,9 @@
 // the Fig. 7 radar aggregation.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+
 #include "chain/ledger.hpp"
 #include "core/radar.hpp"
 #include "core/report.hpp"
@@ -129,6 +132,13 @@ TEST(Table, RendersAlignedMarkdown) {
 TEST(Table, NumFormatsInfinity) {
   EXPECT_EQ(Table::num(std::numeric_limits<double>::infinity()), "inf");
   EXPECT_EQ(Table::num(1.2345, 2), "1.23");
+}
+
+TEST(Table, NumPrintsEveryDigitOfLargeValues) {
+  // A repro or metrics dump must read back to the value it printed.
+  EXPECT_EQ(std::strtod(Table::num(1e300, 2).c_str(), nullptr), 1e300);
+  EXPECT_EQ(Table::num(std::numeric_limits<double>::max(), 6).size(),
+            309u + 7u);  // 309 integer digits, '.', 6 decimals
 }
 
 TEST(RenderTimeseries, ProducesOneRowPerBucket) {
