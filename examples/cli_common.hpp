@@ -4,8 +4,8 @@
 // Chain names resolve through the registry (core::parse_chain_name), so
 // every driver gets case-insensitive matching and error messages that list
 // the valid names, and a newly linked chain plugin is accepted everywhere
-// at once. Numeric flag values follow the scenario reader's rules
-// (core::parse_number_text / parse_integer_text).
+// at once. Integer flags and positional arguments follow the scenario
+// reader's rule (core::parse_integer_text).
 #pragma once
 
 #include <cstdint>
@@ -74,18 +74,9 @@ inline std::vector<core::ChainKind> parse_chain_list_or_exit(
   return chains;
 }
 
-/// A flag's number under the scenario reader's rule: the whole token is
-/// one finite number ("12abc", "" and "nan" exit 2).
-inline double number_or_exit(const char* argv0, const std::string& flag,
-                             const std::string& text) {
-  try {
-    return core::parse_number_text(text, flag);
-  } catch (const std::invalid_argument& error) {
-    fail(argv0, error.what(), help_hint(argv0));
-  }
-}
-
-/// As number_or_exit, for an integer (|value| <= 9e15).
+/// An integer flag value or positional argument under the scenario
+/// reader's rule: the whole token is one integer with |value| <= 9e15
+/// ("12abc", "" and "1.5" exit 2).
 inline std::int64_t integer_or_exit(const char* argv0,
                                     const std::string& flag,
                                     const std::string& text) {

@@ -1,91 +1,51 @@
-// stabl_cli — run a single STABL experiment pair from the command line and
-// emit human-readable or machine-readable results. The driver a downstream
-// user would wire into a CI pipeline.
+// stabl_cli — run one STABL experiment pair, a seed sweep or a campaign
+// from the command line and print a text, CSV or JSON report: the program
+// a CI pipeline calls. `stabl_cli --help` describes every flag.
 //
-// Usage:
-//   stabl_cli [--chain NAME] [--fault NAME] [--duration S] [--seed N]
-//             [--seeds N] [--jobs N]
-//             [--fanout K] [--matching K] [--workload SHAPE]
-//             [--traffic-preset NAME]
-//             [--vcpus N] [--format text|csv|json]
-//             [--fault-targets IDS]
-//             [--extra-fault NAME]... [--loss-prob P] [--gray-delay S]
-//             [--throttle-bps BYTES] [--resilient] [--commit-timeout S]
-//             [--chain-param KEY=VALUE]...
-//             [--no-throttling] [--no-warmup-epochs] [--max-idle S]
-//             [--chaos N] [--shrink]
-//             [--hedge] [--hedge-percentile P] [--hedge-min S]
-//             [--hedge-max S] [--endpoint-scoring]
-//             [--trace FILE] [--metrics FILE]
-//   stabl_cli --scenario FILE [--format FMT] [--dump-scenario]
-//   stabl_cli [flags...] --dump-scenario
-//   stabl_cli --mitigation-study [--chain NAME] [--fault NAME] [--chaos N]
-//             [--seeds N] [--jobs N] [--format FMT]
-//   stabl_cli --attribution [--chain NAME] [--fault NAME] [--jobs N]
-//             [--heartbeat] [--trace FILE] [--format FMT]
-//   stabl_cli --list-faults | --list-chains | --list-workloads
+// Every flag is a row of one table, kFlags. An experiment flag sets a
+// core::ScenarioSpec key through core::set_scenario_key, the parser the
+// file key uses, so --dump-scenario prints the spec a flag combination
+// resolves to (after the checks a run does) and --scenario FILE replays
+// it to the same report bytes. --chain-param K=V overrides a registered
+// chain parameter; --no-throttling, --no-warmup-epochs and --max-idle S
+// are shorthands for throttling=0, warmup_epochs=0 and max_idle_s=S, so
+// they too fail on a chain that does not declare the key.
 //
-// Every flag combination is internally a core::ScenarioSpec — a
-// declarative JSON description of the run. --dump-scenario prints that
-// spec instead of running it; --scenario FILE loads a spec (e.g. one of
-// examples/scenarios/*.json) and runs it, reproducing the byte-identical
-// report of the equivalent flag invocation. --chain-param overrides a
-// registered per-chain tunable by name (see `--help` or the chain's
-// ChainTraits::default_params).
+// One mode table, kModes, picks what runs: --attribution, else
+// --mitigation-study, else a chaos campaign (--chaos N), else a seed sweep
+// (--seeds N, N > 1), else a single baseline-vs-faulted run. Each mode
+// takes the experiment knobs and the inputs marked below; any other input
+// is a usage error (exit 2). fault = --fault, --extra-fault or
+// --fault-targets (the campaigns' --chain/--fault narrow their grid).
+//                     seeds chaos trace metrics fault csv dump heartbeat
+//   attribution         -     -     x      -      x    x    -      x
+//   mitigation-study    x     x     -      -      x    x    -      x
+//   chaos               -     x     x      -      -    -    x      x
+//   seed sweep          x     -     -      -      x    x    x      x
+//   single run          -     -     x      x      x    x    x      -
+// --jobs N only sets worker threads: it never changes the report, and
+// with one seed the run is a single run.
 //
-// --seeds N sweeps N consecutive seeds starting at --seed and reports the
-// per-seed scores plus mean/min/max/stddev aggregates; --jobs N fans the
-// (seed) grid across N threads (output is identical for any jobs value).
-//
-// --chaos N runs N randomized multi-plan fault schedules against --chain
-// and audits each run with the invariant oracles; --shrink delta-debugs
-// every violating schedule to a minimal JSON repro. Deterministic in
-// (--chain, --seed) for any --jobs value.
-//
-// --mitigation-study runs every (chain, fault, seed) cell TWICE — once
-// as-configured and once with the mitigation stack (nversion_<chain>
-// meta-chain + hedged submissions + endpoint scoring) — over the same
-// seeds and fault schedules, and reports the paired sensitivity deltas.
-// --chain/--fault narrow the grid; --chaos N adds N adversarial chaos
-// schedule pairs per chain. Byte-identical output for any --jobs value.
-//
-// --attribution runs every (chain, fault) cell as a paired twin with a
-// transaction-lifecycle recorder attached to both runs and reports WHERE
-// the latency degradation comes from: per-stage (submit, admission,
-// queueing, consensus, notify) latency deltas that sum to the cell's
-// measured commit-latency delta, the loss breakdown by deepest stage
-// reached, and the dominant stage. --chain/--fault narrow the grid;
-// --trace FILE additionally re-runs the first cell's faulted twin with a
-// TraceSink and writes its timeline (the report itself is byte-identical
-// with or without it). --heartbeat prints wall-clock progress to stderr.
-//
-// --trace FILE records the faulted run's sim-time timeline as Chrome /
-// Perfetto trace_event JSON (open at ui.perfetto.dev). In chaos mode the
-// file name is a base: each violating trial's minimized repro timeline is
-// written to FILE.chaos_<chain>_trialK_seedS_planH.trace.json — the
-// experiment seed and a hash of the minimized schedule keep sidecars from
-// different campaigns distinct. --metrics FILE samples the runtime
-// metrics registry each sim-second into CSV (when FILE ends in .csv) or
-// JSON. Tracing is observe-only: reports are byte-identical with it on or
-// off.
+// --trace FILE writes a Perfetto trace_event timeline (ui.perfetto.dev):
+// the faulted run's, the first attribution cell's faulted twin's, or, in
+// chaos mode, each violating trial's minimized repro to
+// FILE.chaos_<chain>_trialK_seedS_planH.trace.json. --metrics FILE samples
+// the metrics registry each sim-second, as CSV when FILE ends in .csv and
+// JSON otherwise. Tracing, metrics and --heartbeat (wall-clock progress
+// on stderr) never change the report.
 //
 // Examples:
 //   stabl_cli --chain solana --fault transient
 //   stabl_cli --scenario examples/scenarios/fig3a_redbelly.json
 //   stabl_cli --chain redbelly --fault partition --max-idle 30 --format json
-//   stabl_cli --chain avalanche --chain-param cpu_target=0.8 --fault churn
 //   stabl_cli --chain aptos --chaos 10 --shrink --duration 120 --jobs 4
-//   # Fault engine v2: packet loss composed on top of the partition, with
-//   # resilient (timeout + failover + backoff) clients:
-//   stabl_cli --chain redbelly --fault partition --extra-fault loss
-//             --loss-prob 0.3 --resilient          (one line in the shell)
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <optional>
-#include <sstream>
+#include <iterator>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -106,9 +66,36 @@ namespace {
 
 using namespace stabl;
 
-void print_usage(std::FILE* out, const char* argv0) {
-  std::fprintf(
-      out,
+/// What a mode may take besides the experiment knobs every mode reads.
+/// Each is given by a flag or by a scenario key with a non-default value.
+enum Input : unsigned {
+  kAttribution = 1, kMitigation = 2, kSeeds = 4, kChaos = 8, kTrace = 16,
+  kMetrics = 32, kFaultPlan = 64, kCsv = 128, kDump = 256, kHeartbeat = 512
+};
+
+/// Input names for the usage error, in bit order.
+const char* const kInputNames[] = {
+    "--attribution", "--mitigation-study", "--seeds > 1", "--chaos",
+    "--trace", "--metrics", "--fault, --extra-fault or --fault-targets",
+    "--format csv", "--dump-scenario", "--heartbeat"};
+
+/// What the command line asks for: the scenario plus the settings that
+/// are not scenario keys.
+struct Invocation {
+  const char* argv0 = nullptr;
+  core::ScenarioSpec spec;
+  std::string format = "text";
+  std::string scenario_path;
+  /// Inputs given by switches that set no key (--attribution, ...).
+  unsigned switches = 0;
+  /// Scenario keys set by flags: "chain" and "fault" narrow a campaign's
+  /// grid, and --scenario, a complete run description, takes none.
+  std::set<std::string> keys;
+};
+
+/// --help, like the --list-* flags below, prints and exits 0.
+[[noreturn]] void print_usage(Invocation& cli, const std::string&) {
+  std::printf(
       "usage: %s [options]\n"
       "       %s --scenario FILE [--format FMT] [--dump-scenario]\n"
       "       %s --mitigation-study [--chain NAME] [--fault NAME]\n"
@@ -237,24 +224,24 @@ void print_usage(std::FILE* out, const char* argv0) {
       "  --list-workloads    list every arrival shape and traffic preset\n"
       "                      with a one-line description and exit 0\n"
       "  --help              print this help and exit 0\n",
-      argv0, argv0, argv0, argv0, argv0,
+      cli.argv0, cli.argv0, cli.argv0, cli.argv0, cli.argv0,
       core::chain_registry().names_csv().c_str());
+  std::exit(0);
 }
 
 // --list-faults: every FaultType in enum order with its one-line
-// description. Registry-free, so listing works even for a misconfigured
-// build.
-void print_fault_list() {
+// description; registry-free, so it works even in a misconfigured build.
+[[noreturn]] void print_fault_list(Invocation&, const std::string&) {
   for (const core::FaultType type : core::kAllFaultTypes) {
     std::printf("%-14s %s\n", core::to_string(type).c_str(),
                 core::fault_description(type).c_str());
   }
+  std::exit(0);
 }
 
-// --list-chains: every registered chain in registry (tier, name) order.
-// Linked extension plugins (refbft, the nversion_* meta-chains) show up
-// here automatically; meta-chains carry a "[wraps <base>]" marker.
-void print_chain_list() {
+// --list-chains: every registered chain in registry (tier, name) order;
+// linked plugins show up automatically, meta-chains with "[wraps <base>]".
+[[noreturn]] void print_chain_list(Invocation&, const std::string&) {
   const chain::Registry& registry = core::chain_registry();
   for (const chain::ChainId id : registry.ids()) {
     const chain::ChainTraits& traits = core::chain_traits(core::chain_kind(id));
@@ -263,12 +250,12 @@ void print_chain_list() {
     std::printf("%-18s tier %d  %s%s\n", traits.name.c_str(), traits.tier,
                 traits.description.c_str(), wraps.c_str());
   }
+  std::exit(0);
 }
 
-// --list-workloads: every arrival shape, then every named traffic preset,
-// each with a one-line description. Same registry the scenario parser and
-// --workload/--traffic-preset validation cite in their error listings.
-void print_workload_list() {
+// --list-workloads: every arrival shape, then every traffic preset, each
+// with the one-line description the scenario parser's errors cite.
+[[noreturn]] void print_workload_list(Invocation&, const std::string&) {
   std::printf("arrival shapes (--workload, traffic.shape):\n");
   for (const std::string& name : core::workload_shape_names()) {
     std::printf("  %-14s %s\n", name.c_str(),
@@ -279,6 +266,7 @@ void print_workload_list() {
     std::printf("  %-14s %s\n", name.c_str(),
                 core::traffic_preset_description(name).c_str());
   }
+  std::exit(0);
 }
 
 [[noreturn]] void fail_usage(const char* argv0, const std::string& message) {
@@ -293,19 +281,43 @@ std::string fault_name(const std::string& name) {
   return core::to_string(core::fault_from_name(name));
 }
 
-/// A flag that sets one scenario key (core/scenario.hpp). Its value goes
-/// through core::set_scenario_key, the parser the file key uses.
-struct ScenarioFlag {
+/// Stricter than the schema: a flag that names a chaos campaign or a file
+/// must not be a no-op.
+std::string campaign_size(const std::string& text) {
+  if (core::parse_integer_text(text, "scenario: \"chaos_trials\"") < 1) {
+    throw std::invalid_argument("must be >= 1");
+  }
+  return text;
+}
+
+std::string file_name(const std::string& text) {
+  if (text.empty()) throw std::invalid_argument("needs a file name");
+  return text;
+}
+
+std::string format_name(const std::string& text) {
+  if (text != "text" && text != "csv" && text != "json") {
+    throw std::invalid_argument("unknown format '" + text + "'");
+  }
+  return text;
+}
+
+/// One command-line flag. A scenario flag sets `key` through
+/// core::set_scenario_key, the parser the file key uses. A flag with no
+/// key sets its `input` switch or hands its value to `apply`.
+struct Flag {
   const char* flag;
-  const char* key;
-  /// Switches take no value and set the key to this text.
+  const char* key = nullptr;
+  /// Switches take no value and pass this text instead.
   const char* switch_value = nullptr;
-  /// Name flags dump the registry's spelling of the name; throws
-  /// std::invalid_argument listing the valid names.
+  /// Checks or rewrites the value first (name flags pass on the registry's
+  /// spelling, or throw std::invalid_argument listing the valid names).
   std::string (*canonical)(const std::string&) = nullptr;
+  unsigned input = 0;
+  void (*apply)(Invocation&, const std::string&) = nullptr;
 };
 
-const ScenarioFlag kScenarioFlags[] = {
+const Flag kFlags[] = {
     {"--chain", "chain", nullptr, chain_name},
     {"--fault", "fault", nullptr, fault_name},
     {"--duration", "duration_s"},
@@ -333,438 +345,288 @@ const ScenarioFlag kScenarioFlags[] = {
     {"--hedge-max", "hedge_max_delay_s"},
     {"--endpoint-scoring", "endpoint_scoring", "true"},
     {"--chain-param", "chain_params"},
-    {"--chaos", "chaos_trials"},
+    // Legacy tuning flags: shorthands for --chain-param, so a key the
+    // chain does not declare is an error.
+    {"--no-throttling", "chain_params", "throttling=0"},
+    {"--no-warmup-epochs", "chain_params", "warmup_epochs=0"},
+    {"--max-idle", "chain_params", nullptr,
+     [](const std::string& seconds) { return "max_idle_s=" + seconds; }},
+    {"--chaos", "chaos_trials", nullptr, campaign_size},
     {"--shrink", "shrink", "true"},
     {"--chaos-adversarial", "chaos_adversarial", "true"},
-    {"--trace", "trace"},
-    {"--metrics", "metrics"},
+    {"--trace", "trace", nullptr, file_name},
+    {"--metrics", "metrics", nullptr, file_name},
+    {"--scenario", nullptr, nullptr, file_name, 0,
+     [](Invocation& cli, const std::string& path) { cli.scenario_path = path; }},
+    {"--format", nullptr, nullptr, format_name, 0,
+     [](Invocation& cli, const std::string& format) { cli.format = format; }},
+    {"--dump-scenario", nullptr, "", nullptr, kDump},
+    {"--heartbeat", nullptr, "", nullptr, kHeartbeat},
+    {"--attribution", nullptr, "", nullptr, kAttribution},
+    {"--mitigation-study", nullptr, "", nullptr, kMitigation},
+    {"--help", nullptr, "", nullptr, 0, print_usage},
+    {"-h", nullptr, "", nullptr, 0, print_usage},
+    {"--list-faults", nullptr, "", nullptr, 0, print_fault_list},
+    {"--list-chains", nullptr, "", nullptr, 0, print_chain_list},
+    {"--list-workloads", nullptr, "", nullptr, 0, print_workload_list},
 };
 
-const ScenarioFlag* find_scenario_flag(const std::string& arg) {
-  for (const ScenarioFlag& flag : kScenarioFlags) {
-    if (arg == flag.flag) return &flag;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  core::ScenarioSpec spec;
-  std::string format = "text";
-  std::string scenario_path;
-  bool dump_scenario = false;
-  bool mitigation_study = false;
-  bool attribution = false;
-  bool heartbeat = false;
-  // --mitigation-study defaults to the full (5 chains x 2 faults) grid;
-  // explicit --chain/--fault narrow it to the named cell row/column.
-  bool chain_set = false;
-  bool fault_set = false;
-  // Whether any flag configured the experiment itself (everything except
-  // --format / --dump-scenario / --help); such flags cannot be combined
-  // with --scenario, which is the complete description of a run.
-  bool experiment_flags = false;
-  // Legacy tuning flags. They are mapped onto registry parameter keys
-  // once the chain is known, and silently skipped when the chain does not
-  // declare the key (a Solana knob on a Redbelly run is ignored).
-  std::optional<bool> flag_no_throttling;
-  std::optional<bool> flag_no_warmup_epochs;
-  std::optional<double> flag_max_idle_s;
-
+Invocation parse_flags(int argc, char** argv) {
+  Invocation cli;
+  cli.argv0 = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) fail_usage(argv[0], arg + " needs a value");
-      return argv[++i];
-    };
-    auto experiment_flag = [&experiment_flags] { experiment_flags = true; };
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout, argv[0]);
-      return 0;
-    } else if (arg == "--list-faults") {
-      print_fault_list();
-      return 0;
-    } else if (arg == "--list-chains") {
-      print_chain_list();
-      return 0;
-    } else if (arg == "--list-workloads") {
-      print_workload_list();
-      return 0;
-    } else if (arg == "--scenario") {
-      scenario_path = value();
-      if (scenario_path.empty()) {
-        fail_usage(argv[0], "--scenario needs a file name");
-      }
-    } else if (arg == "--dump-scenario") {
-      dump_scenario = true;
-    } else if (arg == "--format") {
-      format = value();
-      if (format != "text" && format != "csv" && format != "json") {
-        fail_usage(argv[0], "unknown format '" + format + "'");
-      }
-    } else if (arg == "--mitigation-study") {
-      experiment_flag();
-      mitigation_study = true;
-    } else if (arg == "--attribution") {
-      experiment_flag();
-      attribution = true;
-    } else if (arg == "--heartbeat") {
-      heartbeat = true;
-    } else if (arg == "--no-throttling") {
-      experiment_flag();
-      flag_no_throttling = true;
-    } else if (arg == "--no-warmup-epochs") {
-      experiment_flag();
-      flag_no_warmup_epochs = true;
-    } else if (arg == "--max-idle") {
-      experiment_flag();
-      flag_max_idle_s = cli::number_or_exit(argv[0], arg, value());
-    } else if (const ScenarioFlag* flag = find_scenario_flag(arg)) {
-      experiment_flag();
-      chain_set = chain_set || arg == "--chain";
-      fault_set = fault_set || arg == "--fault";
-      const std::string text =
-          flag->switch_value != nullptr ? flag->switch_value : value();
-      try {
-        core::set_scenario_key(
-            spec, flag->key,
-            flag->canonical != nullptr ? flag->canonical(text) : text);
-      } catch (const std::invalid_argument& error) {
-        fail_usage(argv[0], arg + " " + text + ": " + error.what());
-      }
-      // Stricter than the schema: a flag that names a chaos campaign or
-      // an output file must not be a no-op.
-      if (arg == "--chaos" && spec.chaos_trials < 1) {
-        fail_usage(argv[0], "--chaos must be >= 1");
-      }
-      if ((arg == "--trace" && spec.trace.empty()) ||
-          (arg == "--metrics" && spec.metrics.empty())) {
-        fail_usage(argv[0], arg + " needs a file name");
-      }
-    } else {
-      fail_usage(argv[0], "unknown flag '" + arg + "'");
+    const Flag* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&arg](const Flag& row) { return arg == row.flag; });
+    if (flag == std::end(kFlags)) cli::fail_unknown_flag(argv[0], arg);
+    if (flag->switch_value == nullptr && i + 1 >= argc) {
+      fail_usage(argv[0], arg + " needs a value");
     }
-  }
-
-  if (!scenario_path.empty()) {
-    if (experiment_flags) {
-      fail_usage(argv[0],
-                 "--scenario is a complete run description; combine it "
-                 "only with --format and --dump-scenario");
-    }
-    std::ifstream file(scenario_path);
-    if (!file) {
-      std::fprintf(stderr, "%s: cannot read %s\n", argv[0],
-                   scenario_path.c_str());
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
+    const std::string text =
+        flag->switch_value != nullptr ? flag->switch_value : argv[++i];
     try {
-      spec = core::scenario_from_json(buffer.str());
+      const std::string value =
+          flag->canonical != nullptr ? flag->canonical(text) : text;
+      cli.switches |= flag->input;
+      if (flag->apply != nullptr) flag->apply(cli, value);
+      if (flag->key == nullptr) continue;
+      core::set_scenario_key(cli.spec, flag->key, value);
+      cli.keys.insert(flag->key);
     } catch (const std::invalid_argument& error) {
-      fail_usage(argv[0], scenario_path + ": " + error.what());
+      fail_usage(argv[0], (text.empty() ? arg : arg + " " + text) + ": " +
+                              error.what());
     }
-  } else {
-    // Map the legacy tuning flags onto the chain's registered parameters.
-    const chain::ChainTraits* traits =
-        core::chain_registry().find(spec.chain);
-    const auto set_param = [&](const char* key, double param_value) {
-      if (traits != nullptr &&
-          traits->default_params.find(key) != traits->default_params.end()) {
-        spec.chain_params[key] = param_value;
-      }
-    };
-    if (flag_no_throttling.has_value()) set_param("throttling", 0.0);
-    if (flag_no_warmup_epochs.has_value()) set_param("warmup_epochs", 0.0);
-    if (flag_max_idle_s.has_value()) set_param("max_idle_s", *flag_max_idle_s);
   }
+  return cli;
+}
 
-  if (dump_scenario) {
-    // A dump must replay: it passes the same validation --scenario does.
-    const std::string error = core::validate_scenario(spec);
-    if (!error.empty()) fail_usage(argv[0], "scenario: " + error);
-    std::printf("%s\n", core::scenario_to_json(spec).c_str());
-    return 0;
+core::ScenarioSpec read_scenario_or_exit(const char* argv0,
+                                         const std::string& path) {
+  std::ifstream file(path);
+  if (!file) {
+    std::fprintf(stderr, "%s: cannot read %s\n", argv0, path.c_str());
+    std::exit(2);
   }
-
-  core::ResolvedScenario resolved;
   try {
-    resolved = core::resolve_scenario(spec);
+    return core::scenario_from_json(
+        std::string(std::istreambuf_iterator<char>(file), {}));
   } catch (const std::invalid_argument& error) {
-    fail_usage(argv[0], error.what());
+    fail_usage(argv0, path + ": " + error.what());
   }
-  core::ExperimentConfig config = resolved.config;
-  const long duration_s = static_cast<long>(spec.duration_s);
-  const std::string& trace_path = resolved.trace_path;
-  const std::string& metrics_path = resolved.metrics_path;
+}
 
-  if (attribution) {
-    if (mitigation_study) {
-      fail_usage(argv[0],
-                 "--attribution and --mitigation-study are separate "
-                 "campaigns; pick one");
+// ------------------------------------------------------------------ modes
+
+int attribution_main(const Invocation& cli, core::ExperimentConfig config) {
+  // Paired attribution campaign: every (chain, fault) cell twice over
+  // the same seed with a lifecycle recorder on both twins. --trace is
+  // honored below by re-running the first cell's faulted twin with a
+  // sink attached — the report itself never depends on it.
+  const std::string& trace_path = cli.spec.trace;
+  core::AttributionConfig study;
+  if (cli.keys.contains("chain")) study.chains = {config.chain};
+  if (cli.keys.contains("fault")) study.faults = {config.fault};
+  study.base = config;
+  study.base.fault = core::FaultType::kNone;
+  study.jobs = static_cast<unsigned>(cli.spec.jobs);
+  study.heartbeat = (cli.switches & kHeartbeat) != 0;
+  const core::AttributionReport report = core::run_attribution(study);
+  if (!trace_path.empty() && !report.cells.empty()) {
+    const core::AttributionCell& first = report.cells.front();
+    core::ExperimentConfig traced = core::paper_cell(
+        study.base, first.chain, first.fault, study.base.seed);
+    sim::TraceSink sink;
+    traced.trace = &sink;
+    core::run_experiment(traced);
+    cli::write_file_or_die(cli.argv0, trace_path, core::trace_to_json(sink));
+  }
+  if (cli.format == "json") {
+    std::printf("%s\n", report.to_json().c_str());
+  } else if (cli.format == "csv") {
+    std::printf("%s", report.to_csv().c_str());
+  } else {
+    std::printf("sensitivity attribution: per-stage latency deltas, "
+                "faulted vs fault-free twin\n");
+    std::printf("%s", report.to_table().c_str());
+    // The radar view: each cell's headline delta and dominant stage.
+    core::RadarSummary radar;
+    const auto& names = sim::stage_segment_names();
+    for (const core::AttributionCell& cell : report.cells) {
+      core::RadarAttributionCell summary;
+      summary.latency_delta_s = cell.measured_latency_delta_s;
+      summary.dominant_stage = names[cell.dominant_segment()];
+      summary.dominant_share = cell.dominant_share();
+      radar.record_attribution(cell.chain, cell.fault, summary);
     }
-    if (resolved.num_seeds > 1 || resolved.chaos_trials > 0) {
-      fail_usage(argv[0],
-                 "--attribution runs one seed per cell; it does not "
-                 "combine with --seeds or --chaos");
-    }
-    if (!metrics_path.empty()) {
-      fail_usage(argv[0],
-                 "--metrics applies to single runs, not --attribution "
-                 "campaigns");
-    }
-    // Paired attribution campaign: every (chain, fault) cell twice over
-    // the same seed with a lifecycle recorder on both twins. --trace is
-    // honored below by re-running the first cell's faulted twin with a
-    // sink attached — the report itself never depends on it.
-    core::AttributionConfig study;
-    if (chain_set) study.chains = {config.chain};
-    if (fault_set) study.faults = {config.fault};
-    study.base = config;
-    study.base.fault = core::FaultType::kNone;
-    study.jobs = resolved.jobs;
-    study.heartbeat = heartbeat;
-    core::AttributionReport report;
-    try {
-      report = core::run_attribution(study);
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "%s: invalid fault plan: %s\n", argv[0],
-                   error.what());
-      return 2;
-    }
+    std::printf("\ndominant-stage radar:\n%s",
+                radar.attribution_table().c_str());
     if (!trace_path.empty() && !report.cells.empty()) {
-      const core::AttributionCell& first = report.cells.front();
-      core::ExperimentConfig traced = core::paper_cell(
-          study.base, first.chain, first.fault, study.base.seed);
-      sim::TraceSink sink;
-      traced.trace = &sink;
-      core::run_experiment(traced);
-      cli::write_file_or_die(argv[0], trace_path,
-                             core::trace_to_json(sink));
+      std::printf("trace: %s (first cell's faulted twin; open at "
+                  "ui.perfetto.dev)\n",
+                  trace_path.c_str());
     }
-    if (format == "json") {
-      std::printf("%s\n", report.to_json().c_str());
-    } else if (format == "csv") {
-      std::printf("%s", report.to_csv().c_str());
-    } else {
-      std::printf("sensitivity attribution: per-stage latency deltas, "
-                  "faulted vs fault-free twin\n");
-      std::printf("%s", report.to_table().c_str());
-      // The radar view: each cell's headline delta and dominant stage.
-      core::RadarSummary radar;
-      const auto& names = sim::stage_segment_names();
-      for (const core::AttributionCell& cell : report.cells) {
-        core::RadarAttributionCell summary;
-        summary.latency_delta_s = cell.measured_latency_delta_s;
-        summary.dominant_stage = names[cell.dominant_segment()];
-        summary.dominant_share = cell.dominant_share();
-        radar.record_attribution(cell.chain, cell.fault, summary);
-      }
-      std::printf("\ndominant-stage radar:\n%s",
-                  radar.attribution_table().c_str());
-      if (!trace_path.empty() && !report.cells.empty()) {
-        std::printf("trace: %s (first cell's faulted twin; open at "
-                    "ui.perfetto.dev)\n",
-                    trace_path.c_str());
-      }
-    }
-    return 0;
   }
+  return 0;
+}
 
-  if (mitigation_study) {
-    if (!trace_path.empty() || !metrics_path.empty()) {
-      fail_usage(argv[0],
-                 "--trace/--metrics apply to single runs, not "
-                 "--mitigation-study campaigns");
-    }
-    // Paired mitigation campaign: every cell twice over the same seed and
-    // schedule — as-configured vs the full mitigation stack. --chaos N is
-    // reinterpreted as N adversarial chaos schedule pairs per chain.
-    core::MitigationConfig study;
-    if (chain_set) study.chains = {config.chain};
-    if (fault_set) study.faults = {config.fault};
-    study.base = config;
-    study.base.fault = core::FaultType::kNone;
-    study.num_seeds = resolved.num_seeds;
-    study.jobs = resolved.jobs;
-    study.chaos_pairs = resolved.chaos_trials;
-    study.heartbeat = heartbeat;
-    core::MitigationResult result;
-    try {
-      result = core::run_mitigation_campaign(study);
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "%s: invalid fault plan: %s\n", argv[0],
-                   error.what());
-      return 2;
-    }
-    if (format == "json") {
-      std::printf("%s\n", result.to_json().c_str());
-    } else if (format == "csv") {
-      std::printf("%s", result.delta_csv().c_str());
-    } else {
-      std::printf("mitigation study: nversion + hedging + endpoint scoring "
-                  "vs unmitigated\n");
-      std::printf("%s", result.delta_table().c_str());
-      std::printf("%zu/%zu pairs improved, %zu regressed\n",
-                  result.improvements(), result.pairs.size(),
-                  result.regressions());
-    }
-    return 0;
+int mitigation_main(const Invocation& cli, core::ExperimentConfig config) {
+  // Paired mitigation campaign: every cell twice over the same seed and
+  // schedule — as-configured vs the full mitigation stack. --chaos N is
+  // reinterpreted as N adversarial chaos schedule pairs per chain.
+  core::MitigationConfig study;
+  if (cli.keys.contains("chain")) study.chains = {config.chain};
+  if (cli.keys.contains("fault")) study.faults = {config.fault};
+  study.base = config;
+  study.base.fault = core::FaultType::kNone;
+  study.num_seeds = static_cast<std::size_t>(cli.spec.num_seeds);
+  study.jobs = static_cast<unsigned>(cli.spec.jobs);
+  study.chaos_pairs = static_cast<std::size_t>(cli.spec.chaos_trials);
+  study.heartbeat = (cli.switches & kHeartbeat) != 0;
+  const core::MitigationResult result = core::run_mitigation_campaign(study);
+  if (cli.format == "json") {
+    std::printf("%s\n", result.to_json().c_str());
+  } else if (cli.format == "csv") {
+    std::printf("%s", result.delta_csv().c_str());
+  } else {
+    std::printf("mitigation study: nversion + hedging + endpoint scoring "
+                "vs unmitigated\n");
+    std::printf("%s", result.delta_table().c_str());
+    std::printf("%zu/%zu pairs improved, %zu regressed\n",
+                result.improvements(), result.pairs.size(),
+                result.regressions());
   }
+  return 0;
+}
 
-  if (resolved.chaos_trials > 0) {
-    if (!metrics_path.empty()) {
-      fail_usage(argv[0],
-                 "--metrics applies to single runs, not --chaos campaigns");
-    }
-    // Chaos path: randomized schedules + oracle audit on one chain. Every
-    // violating trial carries a Perfetto timeline of its minimized repro;
-    // --trace names the base file the timelines are written to.
-    core::ChaosCampaignConfig chaos;
-    chaos.chains = {config.chain};
-    chaos.trials_per_chain = resolved.chaos_trials;
-    chaos.seed = config.seed;
-    chaos.base = config;
-    chaos.base.fault = core::FaultType::kNone;
-    if (resolved.chaos_adversarial) {
-      chaos.gen = core::adversarial_gen_for(chaos.base.duration);
-    }
-    chaos.shrink = resolved.shrink;
-    chaos.trace_repros = !trace_path.empty();
-    chaos.jobs = resolved.jobs;
-    chaos.heartbeat = heartbeat;
-    const core::ChaosCampaignResult result = core::run_chaos_campaign(chaos);
+int chaos_main(const Invocation& cli, core::ExperimentConfig config) {
+  // Chaos path: randomized schedules + oracle audit on one chain. Every
+  // violating trial carries a Perfetto timeline of its minimized repro;
+  // --trace names the base file the timelines are written to.
+  const std::string& trace_path = cli.spec.trace;
+  core::ChaosCampaignConfig chaos;
+  chaos.chains = {config.chain};
+  chaos.trials_per_chain = static_cast<std::size_t>(cli.spec.chaos_trials);
+  chaos.seed = config.seed;
+  chaos.base = config;
+  chaos.base.fault = core::FaultType::kNone;
+  if (cli.spec.chaos_adversarial) {
+    chaos.gen = core::adversarial_gen_for(chaos.base.duration);
+  }
+  chaos.shrink = cli.spec.shrink;
+  chaos.trace_repros = !trace_path.empty();
+  chaos.jobs = static_cast<unsigned>(cli.spec.jobs);
+  chaos.heartbeat = (cli.switches & kHeartbeat) != 0;
+  const core::ChaosCampaignResult result = core::run_chaos_campaign(chaos);
+  for (const core::ChaosTrial& trial : result.trials) {
+    if (trial.repro_trace.empty()) continue;
+    // Seed + plan-hash suffix: several violations of the same chain (or
+    // reruns with other seeds) never overwrite each other's sidecars.
+    const core::FaultSchedule& repro = trial.shrunk.has_value()
+                                           ? trial.shrunk->schedule
+                                           : trial.schedule;
+    const std::string sidecar =
+        trace_path + "." +
+        cli::chaos_repro_stem(core::to_string(trial.chain), trial.trial,
+                              trial.experiment_seed,
+                              core::schedule_to_json(repro)) +
+        ".trace.json";
+    cli::write_file_or_die(cli.argv0, sidecar, trial.repro_trace);
+    std::fprintf(stderr, "trace: %s\n", sidecar.c_str());
+  }
+  if (cli.format == "json") {
+    std::printf("%s\n", result.to_json().c_str());
+  } else {
+    std::printf("%s", result.summary_table().c_str());
+    std::printf("%zu/%zu violations, %zu expected losses\n",
+                result.violations(), result.trials.size(),
+                result.expected_losses());
     for (const core::ChaosTrial& trial : result.trials) {
-      if (trial.repro_trace.empty()) continue;
-      // Seed + plan-hash suffix: several violations of the same chain (or
-      // reruns with other seeds) never overwrite each other's sidecars.
-      const core::FaultSchedule& repro = trial.shrunk.has_value()
-                                             ? trial.shrunk->schedule
-                                             : trial.schedule;
-      const std::string sidecar =
-          trace_path + "." +
-          cli::chaos_repro_stem(core::to_string(trial.chain), trial.trial,
-                                trial.experiment_seed,
-                                core::schedule_to_json(repro)) +
-          ".trace.json";
-      cli::write_file_or_die(argv[0], sidecar, trial.repro_trace);
-      std::fprintf(stderr, "trace: %s\n", sidecar.c_str());
-    }
-    if (format == "json") {
-      std::printf("%s\n", result.to_json().c_str());
-    } else {
-      std::printf("%s", result.summary_table().c_str());
-      std::printf("%zu/%zu violations, %zu expected losses\n",
-                  result.violations(), result.trials.size(),
-                  result.expected_losses());
-      for (const core::ChaosTrial& trial : result.trials) {
-        if (trial.report.verdict == core::OracleVerdict::kPass) continue;
-        std::printf("%s trial %zu: %s\n",
-                    core::to_string(trial.chain).c_str(), trial.trial,
-                    trial.report.summary().c_str());
-        if (trial.shrunk.has_value()) {
-          std::printf("  repro: %s\n",
-                      core::schedule_to_json(trial.shrunk->schedule).c_str());
-        }
+      if (trial.report.verdict == core::OracleVerdict::kPass) continue;
+      std::printf("%s trial %zu: %s\n", core::to_string(trial.chain).c_str(),
+                  trial.trial, trial.report.summary().c_str());
+      if (trial.shrunk.has_value()) {
+        std::printf("  repro: %s\n",
+                    core::schedule_to_json(trial.shrunk->schedule).c_str());
       }
-      std::printf("\nwall-clock profile:\n%s",
-                  result.timing_table().c_str());
     }
-    return result.violations() > 0 ? 1 : 0;
-  }
-
-  if (resolved.num_seeds > 1 || resolved.jobs > 1) {
-    if (!trace_path.empty() || !metrics_path.empty()) {
-      fail_usage(argv[0],
-                 "--trace/--metrics apply to single runs; rerun the seed of "
-                 "interest without --seeds/--jobs");
-    }
-    // Seed sweep / parallel path: run the single (chain, fault) cell as a
-    // one-cell campaign so the sweep aggregation and the thread pool are
-    // the same code CI uses. Output is identical for any --jobs value.
-    core::CampaignConfig campaign;
-    campaign.chains = {config.chain};
-    campaign.faults = {config.fault};
-    campaign.base = config;
-    campaign.num_seeds = resolved.num_seeds;
-    campaign.jobs = resolved.jobs;
-    campaign.heartbeat = heartbeat;
-    core::CampaignResult result;
-    try {
-      result = core::run_campaign(campaign);
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "%s: invalid fault plan: %s\n", argv[0],
-                   error.what());
-      return 2;
-    }
-    if (format == "json") {
-      std::printf("%s\n", result.to_json().c_str());
-      return 0;
-    }
-    if (format == "csv") {
-      std::printf("%s", result.to_csv().c_str());
-      return 0;
-    }
-    std::printf("%s under %s, %zu seeds starting at %llu\n",
-                core::to_string(config.chain).c_str(),
-                core::to_string(config.fault).c_str(), resolved.num_seeds,
-                static_cast<unsigned long long>(config.seed));
-    const auto& seed_runs =
-        result.seed_runs.at({config.chain, config.fault});
-    core::Table table({"seed", "score", "committed", "live", "recovery"});
-    for (std::size_t i = 0; i < seed_runs.size(); ++i) {
-      const core::SensitivityRun& run = seed_runs[i];
-      table.add_row({std::to_string(result.seeds[i]),
-                     core::format_score(run.score),
-                     std::to_string(run.altered.committed),
-                     run.altered.live_at_end ? "yes" : "NO",
-                     core::Table::num(run.altered.recovery_seconds, 1)});
-    }
-    std::printf("%s", table.to_string().c_str());
-    const core::SeedSweepStats* stats =
-        result.sweep(config.chain, config.fault);
-    std::printf(
-        "sweep: mean %.2f  stddev %.2f  min %.2f  max %.2f  "
-        "liveness losses %zu/%zu\n",
-        stats->mean, stats->stddev, stats->min, stats->max,
-        stats->liveness_losses, stats->seeds);
     std::printf("\nwall-clock profile:\n%s", result.timing_table().c_str());
+  }
+  return result.violations() > 0 ? 1 : 0;
+}
+
+int sweep_main(const Invocation& cli, core::ExperimentConfig config) {
+  // Seed sweep: run the single (chain, fault) cell as a one-cell campaign
+  // so the sweep aggregation and the thread pool are the same code CI
+  // uses. Output is identical for any --jobs value.
+  const auto num_seeds = static_cast<std::size_t>(cli.spec.num_seeds);
+  core::CampaignConfig campaign;
+  campaign.chains = {config.chain};
+  campaign.faults = {config.fault};
+  campaign.base = config;
+  campaign.num_seeds = num_seeds;
+  campaign.jobs = static_cast<unsigned>(cli.spec.jobs);
+  campaign.heartbeat = (cli.switches & kHeartbeat) != 0;
+  const core::CampaignResult result = core::run_campaign(campaign);
+  if (cli.format == "json") {
+    std::printf("%s\n", result.to_json().c_str());
     return 0;
   }
+  if (cli.format == "csv") {
+    std::printf("%s", result.to_csv().c_str());
+    return 0;
+  }
+  std::printf("%s under %s, %zu seeds starting at %llu\n",
+              core::to_string(config.chain).c_str(),
+              core::to_string(config.fault).c_str(), num_seeds,
+              static_cast<unsigned long long>(config.seed));
+  const auto& seed_runs = result.seed_runs.at({config.chain, config.fault});
+  core::Table table({"seed", "score", "committed", "live", "recovery"});
+  for (std::size_t i = 0; i < seed_runs.size(); ++i) {
+    const core::SensitivityRun& run = seed_runs[i];
+    table.add_row({std::to_string(result.seeds[i]),
+                   core::format_score(run.score),
+                   std::to_string(run.altered.committed),
+                   run.altered.live_at_end ? "yes" : "NO",
+                   core::Table::num(run.altered.recovery_seconds, 1)});
+  }
+  std::printf("%s", table.to_string().c_str());
+  const core::SeedSweepStats* stats = result.sweep(config.chain, config.fault);
+  std::printf(
+      "sweep: mean %.2f  stddev %.2f  min %.2f  max %.2f  "
+      "liveness losses %zu/%zu\n",
+      stats->mean, stats->stddev, stats->min, stats->max,
+      stats->liveness_losses, stats->seeds);
+  std::printf("\nwall-clock profile:\n%s", result.timing_table().c_str());
+  return 0;
+}
 
+int single_main(const Invocation& cli, core::ExperimentConfig config) {
+  const std::string& trace_path = cli.spec.trace;
+  const std::string& metrics_path = cli.spec.metrics;
   sim::TraceSink trace_sink;
   core::MetricsRegistry metrics;
   if (!trace_path.empty()) config.trace = &trace_sink;
   if (!metrics_path.empty()) config.metrics = &metrics;
 
-  core::SensitivityRun run;
-  try {
-    run = core::run_sensitivity(config);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "%s: invalid fault plan: %s\n", argv[0],
-                 error.what());
-    return 2;
-  }
+  const core::SensitivityRun run = core::run_sensitivity(config);
 
   if (!trace_path.empty()) {
-    cli::write_file_or_die(argv[0], trace_path,
+    cli::write_file_or_die(cli.argv0, trace_path,
                            core::trace_to_json(trace_sink));
   }
   if (!metrics_path.empty()) {
-    cli::write_file_or_die(argv[0], metrics_path,
+    cli::write_file_or_die(cli.argv0, metrics_path,
                            cli::ends_with(metrics_path, ".csv")
                                ? metrics.to_csv()
                                : metrics.to_json());
   }
 
-  if (format == "json") {
+  if (cli.format == "json") {
     std::printf("%s\n", core::to_json(config.chain, config.fault, run).c_str());
     return 0;
   }
-  if (format == "csv") {
+  if (cli.format == "csv") {
     std::printf("%s\n%s\n", core::summary_csv_header().c_str(),
                 core::summary_csv_row(config.chain, config.fault, run).c_str());
     return 0;
@@ -816,9 +678,86 @@ int main(int argc, char** argv) {
     std::printf("metrics: %s (%zu samples)\n", metrics_path.c_str(),
                 metrics.sample_times().size());
   }
-  std::printf("\naltered throughput:\n%s",
-              core::render_timeseries(run.altered.throughput,
-                                      static_cast<double>(duration_s / 40))
-                  .c_str());
+  const auto bucket_s = static_cast<double>(cli.spec.duration_s / 40);
+  std::printf(
+      "\naltered throughput:\n%s",
+      core::render_timeseries(run.altered.throughput, bucket_s).c_str());
   return 0;
+}
+
+/// The five modes in selection order: the first row given its
+/// `selected_by` input runs (the last row selects itself), and any other
+/// given input outside its `takes` is a usage error.
+struct Mode {
+  const char* name;
+  unsigned selected_by;
+  unsigned takes;
+  int (*run)(const Invocation&, core::ExperimentConfig);
+};
+
+const Mode kModes[] = {
+    {"--attribution campaigns", kAttribution,
+     kTrace | kFaultPlan | kCsv | kHeartbeat, attribution_main},
+    {"--mitigation-study campaigns", kMitigation,
+     kSeeds | kChaos | kFaultPlan | kCsv | kHeartbeat, mitigation_main},
+    {"--chaos campaigns", kChaos, kTrace | kDump | kHeartbeat, chaos_main},
+    {"seed sweeps", kSeeds, kFaultPlan | kCsv | kDump | kHeartbeat,
+     sweep_main},
+    {"single runs", 0, kTrace | kMetrics | kFaultPlan | kCsv | kDump,
+     single_main},
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Invocation cli = parse_flags(argc, argv);
+  if (!cli.scenario_path.empty()) {
+    if (!cli.keys.empty() || (cli.switches & (kAttribution | kMitigation))) {
+      fail_usage(argv[0],
+                 "--scenario is a complete run description; combine it "
+                 "only with --format and --dump-scenario");
+    }
+    cli.spec = read_scenario_or_exit(argv[0], cli.scenario_path);
+  }
+
+  // The check a run does, so a dump always replays.
+  core::ExperimentConfig config;
+  try {
+    config = core::resolve_scenario(cli.spec).config;
+  } catch (const std::invalid_argument& error) {
+    fail_usage(argv[0], error.what());
+  }
+
+  const core::ScenarioSpec& spec = cli.spec;
+  const bool fault_plan = config.fault != core::FaultType::kNone ||
+                          !config.extra_faults.empty() ||
+                          !config.fault_targets.empty();
+  const unsigned inputs =
+      cli.switches | (spec.num_seeds > 1 ? kSeeds : 0u) |
+      (spec.chaos_trials > 0 ? kChaos : 0u) |
+      (spec.trace.empty() ? 0u : kTrace) |
+      (spec.metrics.empty() ? 0u : kMetrics) |
+      (fault_plan ? kFaultPlan : 0u) | (cli.format == "csv" ? kCsv : 0u);
+  const Mode& mode = *std::find_if(
+      std::begin(kModes), std::end(kModes), [inputs](const Mode& row) {
+        return row.selected_by == 0 || (inputs & row.selected_by) != 0;
+      });
+  for (std::size_t bit = 0; bit < std::size(kInputNames); ++bit) {
+    if (((inputs & ~(mode.selected_by | mode.takes)) >> bit & 1u) != 0) {
+      fail_usage(argv[0], std::string(kInputNames[bit]) +
+                              " does not apply to " + mode.name);
+    }
+  }
+
+  if ((inputs & kDump) != 0) {
+    std::printf("%s\n", core::scenario_to_json(cli.spec).c_str());
+    return 0;
+  }
+  try {
+    return mode.run(cli, std::move(config));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s: invalid fault plan: %s\n", argv[0],
+                 error.what());
+    return 2;
+  }
 }

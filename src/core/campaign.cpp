@@ -271,13 +271,6 @@ std::string mitigation_score_text(const SensitivityScore& score) {
   return Table::num(score.value, 4);
 }
 
-/// Delta rendered for the CSV: finite number, "inf" (masked liveness
-/// loss) or "-inf" (mitigation introduced one).
-std::string mitigation_delta_text(double delta) {
-  if (std::isinf(delta)) return delta > 0.0 ? "inf" : "-inf";
-  return Table::num(delta, 4);
-}
-
 double chain_metric_or_zero(const ExperimentResult& result,
                             const std::string& key) {
   const auto it = result.chain_metrics.find(key);
@@ -343,7 +336,7 @@ std::string MitigationResult::delta_table() const {
                    std::to_string(pair.seed), pair.mitigated_chain,
                    mitigation_score_text(pair.unmitigated.score),
                    mitigation_score_text(pair.mitigated.score),
-                   mitigation_delta_text(pair.delta()), pair_verdict(pair)});
+                   Table::num(pair.delta(), 4), pair_verdict(pair)});
   }
   return table.to_string();
 }
@@ -361,7 +354,7 @@ std::string MitigationResult::delta_csv() const {
                 pair.mitigated_chain,
                 mitigation_score_text(pair.unmitigated.score),
                 mitigation_score_text(pair.mitigated.score),
-                mitigation_delta_text(pair.delta()), pair_verdict(pair),
+                Table::num(pair.delta(), 4), pair_verdict(pair),
                 pair.unmitigated.altered.live_at_end ? "1" : "0",
                 pair.mitigated.altered.live_at_end ? "1" : "0",
                 std::to_string(pair.mitigated.altered.resilience.failovers),

@@ -220,7 +220,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     for (std::size_t k = 0; k < config.n; ++k) {
       cluster.push_back(static_cast<net::NodeId>(k));
     }
-    for (std::size_t r = 1; r < config.traffic.regions; ++r) {
+    // Regions past the client count get no clients.
+    const std::size_t regions =
+        std::min(config.traffic.regions, config.clients);
+    for (std::size_t r = 1; r < regions; ++r) {
       std::vector<net::NodeId> region_clients;
       for (std::size_t i = r; i < config.clients;
            i += config.traffic.regions) {

@@ -1,11 +1,13 @@
-// The one reader for the harness's JSON files: scenario specs, chaos
-// repro schedules, metric snapshots and trace files.
+// The one reader for the harness's JSON files (scenario specs, chaos
+// repro schedules, metric snapshots and traces) and the string escaping
+// their writers share.
 //
 // Deliberately small and strict. It reads what the harness's own writers
 // emit (objects, arrays, strings, numbers, true/false) and is NOT a
 // general JSON parser. The rules every reader gets from here:
 //   - one document per input (finish() rejects trailing content);
-//   - strings carry no escapes and no raw control characters;
+//   - strings carry json_escape's escapes and no others, and no raw
+//     control characters, so every string has one spelling;
 //   - true/false match exactly; lists and objects take no trailing comma;
 //   - read_members rejects a repeated member name; skip_value nests at
 //     most 64 deep;
@@ -21,12 +23,39 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
 
 namespace stabl::core {
+
+/// The writers' string escaping: \" \\ \n \t, and \u00xx (lowercase hex)
+/// for every other byte below 0x20. JsonCursor::parse_string accepts
+/// exactly these spellings.
+inline std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char code[8];
+          std::snprintf(code, sizeof(code), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += code;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 class JsonCursor {
  public:
@@ -59,15 +88,21 @@ class JsonCursor {
     return pos_ < text_.size() ? text_[pos_] : '\0';
   }
 
+  /// A string in json_escape's spelling. Raw control characters and any
+  /// other escape are refused, so a dump reads back to its own bytes.
   std::string parse_string() {
     expect('"');
     std::string out;
     while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') fail("escapes are not used in harness files");
       if (static_cast<unsigned char>(text_[pos_]) < 0x20) {
         fail("control character in a string");
       }
-      out.push_back(text_[pos_++]);
+      if (text_[pos_] != '\\') {
+        out.push_back(text_[pos_++]);
+        continue;
+      }
+      ++pos_;
+      out.push_back(unescape());
     }
     expect('"');
     return out;
@@ -201,6 +236,23 @@ class JsonCursor {
            std::isspace(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
+  }
+
+  /// The byte an escape stands for, the cursor past its backslash. A
+  /// \uXXXX is accepted only when json_escape spells its byte that way.
+  char unescape() {
+    const char kind = pos_ < text_.size() ? text_[pos_++] : '\0';
+    if (kind == '"' || kind == '\\') return kind;
+    if (kind == 'n') return '\n';
+    if (kind == 't') return '\t';
+    const std::string code = "\\u" + text_.substr(pos_, 4);
+    const auto byte =
+        static_cast<char>(std::strtoul(code.c_str() + 2, nullptr, 16));
+    if (kind != 'u' || json_escape(std::string(1, byte)) != code) {
+      fail("escape the harness writers do not emit");
+    }
+    pos_ += 4;
+    return byte;
   }
 
   /// `word`, letter for letter with nothing in between.

@@ -157,7 +157,8 @@ std::string MetricsRegistry::to_json() const {
   out << "],\"series\":[";
   for (std::size_t s = 0; s < series_.size(); ++s) {
     if (s > 0) out << ',';
-    out << "{\"name\":\"" << series_[s].name << "\",\"samples\":[";
+    out << "{\"name\":\"" << json_escape(series_[s].name)
+        << "\",\"samples\":[";
     for (std::size_t i = 0; i < series_[s].samples.size(); ++i) {
       if (i > 0) out << ',';
       out << Table::num(series_[s].samples[i], kValuePrecision);
@@ -168,7 +169,7 @@ std::string MetricsRegistry::to_json() const {
   for (std::size_t h = 0; h < histograms_.size(); ++h) {
     if (h > 0) out << ',';
     const Histogram& hist = histograms_[h];
-    out << "{\"name\":\"" << hist.name << "\",\"bounds\":[";
+    out << "{\"name\":\"" << json_escape(hist.name) << "\",\"bounds\":[";
     for (std::size_t i = 0; i < hist.bounds.size(); ++i) {
       if (i > 0) out << ',';
       out << Table::num(hist.bounds[i], kValuePrecision);

@@ -16,7 +16,7 @@ void Table::add_row(std::vector<std::string> cells) {
 }
 
 std::string Table::num(double value, int precision) {
-  if (std::isinf(value)) return "inf";
+  if (std::isinf(value)) return value > 0.0 ? "inf" : "-inf";
   char buf[400];  // DBL_MAX has 309 integer digits
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
   return buf;

@@ -17,7 +17,8 @@ class Table {
   void add_row(std::vector<std::string> cells);
   [[nodiscard]] std::string to_string() const;
 
-  /// Format helpers.
+  /// Fixed-point `value`; infinities print as "inf" and "-inf", which the
+  /// metrics reader (strtod) reads back with their sign.
   static std::string num(double value, int precision = 2);
 
  private:

@@ -26,9 +26,7 @@ std::string fmt_double(double value) {
 }
 
 void append_string(std::string& out, const std::string& value) {
-  out += '"';
-  out += value;  // harness strings never contain quotes or escapes
-  out += '"';
+  out += '"' + json_escape(value) + '"';
 }
 
 template <class T, class WriteItem>
@@ -42,14 +40,14 @@ void write_list(std::string& out, const std::vector<T>& items,
   out += ']';
 }
 
-/// Flag text for a string value. The writer emits strings verbatim, so a
-/// quote or backslash would make a file the reader rejects.
+/// Flag text as the body of a JSON string. A flag value is a plain name
+/// or path, so a quote or backslash in one is refused, not escaped.
 std::string plain_text(const std::string& text, const std::string& key) {
   if (text.find_first_of("\"\\") != std::string::npos) {
     throw std::invalid_argument("scenario: \"" + key +
                                 "\" must not contain '\"' or '\\'");
   }
-  return text;
+  return json_escape(text);
 }
 
 template <class... F>
@@ -548,14 +546,6 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
       config.client_fanout == 1) {
     config = paper_cell(config, config.chain, config.fault, config.seed);
   }
-
-  resolved.num_seeds = static_cast<std::size_t>(spec.num_seeds);
-  resolved.jobs = static_cast<unsigned>(spec.jobs);
-  resolved.chaos_trials = static_cast<std::size_t>(spec.chaos_trials);
-  resolved.shrink = spec.shrink;
-  resolved.chaos_adversarial = spec.chaos_adversarial;
-  resolved.trace_path = spec.trace;
-  resolved.metrics_path = spec.metrics;
   return resolved;
 }
 

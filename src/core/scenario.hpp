@@ -129,18 +129,11 @@ void set_scenario_key(ScenarioSpec& spec, const std::string& key,
 [[nodiscard]] std::int64_t parse_integer_text(const std::string& text,
                                               const std::string& what);
 
-/// A spec lowered onto the experiment machinery: the ExperimentConfig plus
-/// the driver-level knobs (sweep width, parallelism, chaos mode,
-/// observability paths) that live outside ExperimentConfig.
+/// A spec lowered onto the experiment machinery. stabl_cli reads the
+/// run-level knobs (sweep width, parallelism, chaos mode, observability
+/// paths) from the ScenarioSpec itself.
 struct ResolvedScenario {
   ExperimentConfig config{};
-  std::size_t num_seeds = 1;
-  unsigned jobs = 1;
-  std::size_t chaos_trials = 0;
-  bool shrink = false;
-  bool chaos_adversarial = false;
-  std::string trace_path{};
-  std::string metrics_path{};
 };
 
 /// Validate + resolve. Performs exactly stabl_cli's historical flag

@@ -50,21 +50,6 @@ void append_result_json(std::ostringstream& out, const char* name,
 
 }  // namespace
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string summary_csv_header() {
   return "chain,fault,score,benefits,live_at_end,recovery_s,"
          "baseline_mean_s,altered_mean_s,baseline_committed,"

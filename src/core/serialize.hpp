@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "core/json.hpp"  // json_escape, used by every JSON writer
 #include "core/oracle.hpp"
 
 namespace stabl::core {
@@ -27,8 +28,5 @@ std::string to_json(ChainKind chain, FaultType fault,
 
 /// Oracle verdict + findings as a JSON object (chaos repro documents).
 std::string to_json(const OracleReport& report);
-
-/// Minimal JSON string escaping for the fields we emit.
-std::string json_escape(const std::string& text);
 
 }  // namespace stabl::core

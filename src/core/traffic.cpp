@@ -184,6 +184,12 @@ std::string validate_traffic(const TrafficSpec& spec) {
   } else if (spec.accounts_per_client < 1) {
     error << "\"traffic.accounts_per_client\" must be >= 1 (got "
           << spec.accounts_per_client << ")";
+  } else if (spec.accounts_per_client > kMaxAccountsPerClient) {
+    // make_client_plan allocates per-account arrays for every client, and
+    // the client profile counts accounts in 32 bits.
+    error << "\"traffic.accounts_per_client\" must be <= "
+          << kMaxAccountsPerClient << " (got " << spec.accounts_per_client
+          << ")";
   } else if (spec.zipf_exponent < 0.0) {
     error << "\"traffic.zipf_exponent\" must be >= 0";
   } else if (spec.hot_fraction < 0.0 || spec.hot_fraction > 1.0) {

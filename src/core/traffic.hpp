@@ -47,12 +47,14 @@ struct TrafficSpec {
   /// Arrival shape override ("constant", "bursty", "ramp", "diurnal",
   /// "flash"); empty inherits the scenario's top-level "workload" shape.
   std::string shape{};
+  /// [1, kMaxAccountsPerClient].
   std::int64_t accounts_per_client = 1;
   /// Zipf exponent s over each client's accounts (weight 1/(k+1)^s);
   /// 0 = uniform.
   double zipf_exponent = 0.0;
   /// Fraction of submissions spent from the shared hot wallet.
   double hot_fraction = 0.0;
+  /// >= 1; regions past the client count get no clients.
   std::int64_t regions = 1;
   /// Extra client->cluster latency of the farthest region; intermediate
   /// regions interpolate linearly.
@@ -93,6 +95,9 @@ TrafficSpec traffic_preset(const std::string& name);
 /// Fill every knob of `spec` still at its TrafficSpec{} default from
 /// `spec.preset` (no-op for an empty preset name).
 void apply_traffic_preset(TrafficSpec& spec);
+
+/// The most accounts one client may hold (traffic.accounts_per_client).
+inline constexpr std::int64_t kMaxAccountsPerClient = 1'000'000;
 
 /// Range validation mirroring validate_scenario's style: empty string when
 /// well-formed, else a human-readable error.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -137,6 +138,25 @@ TEST(MetricsSerialize, JsonRoundTripIsByteIdentical) {
   EXPECT_EQ(parsed.series()[0].samples.size(), 4u);
   ASSERT_EQ(parsed.histograms().size(), 1u);
   EXPECT_EQ(parsed.histograms()[0].total, 3u);
+}
+
+TEST(MetricsSerialize, NegativeInfinityReadsBackWithItsSign) {
+  MetricsRegistry registry;
+  double value = -std::numeric_limits<double>::infinity();
+  registry.add_gauge("slope", [&] { return value; });
+  registry.sample(1.0);
+  value = std::numeric_limits<double>::infinity();
+  registry.sample(2.0);
+  registry.detach_probes();
+  const std::string json = registry.to_json();
+  const MetricsRegistry parsed = metrics_from_json(json);
+  ASSERT_EQ(parsed.series().size(), 1u);
+  ASSERT_EQ(parsed.series()[0].samples.size(), 2u);
+  EXPECT_EQ(parsed.series()[0].samples[0],
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parsed.series()[0].samples[1],
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parsed.to_json(), json);
 }
 
 TEST(MetricsSerialize, RejectsMalformedDocuments) {

@@ -35,8 +35,10 @@
 #include <vector>
 
 #include "core/chaos.hpp"
+#include "core/json.hpp"
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
+#include "core/serialize.hpp"
 #include "core/trace.hpp"
 #include "sim/trace.hpp"
 
@@ -336,8 +338,23 @@ std::vector<std::string> schedule_corpus() {
   return inputs;
 }
 
-/// Metric dumps: a hand-built registry (non-finite samples, notes) and the
-/// registry of a short real run.
+/// Every byte the harness writers escape, so a name holding it must read
+/// back to the same bytes.
+const std::string kEscaped = "quote\" backslash\\ tab\t newline\n cr\r";
+
+/// A registry whose series name, histogram name and note need escapes.
+core::MetricsRegistry escaped_registry() {
+  core::MetricsRegistry registry;
+  registry.add_gauge("series " + kEscaped, [] { return 1.0; });
+  registry.sample(1.0);
+  registry.histogram("histogram " + kEscaped, {1.0}).observe(0.5);
+  registry.note("note " + kEscaped);
+  registry.detach_probes();
+  return registry;
+}
+
+/// Metric dumps: a hand-built registry (non-finite samples, notes), the
+/// registry of a short real run and a registry whose names need escapes.
 std::vector<std::string> metrics_corpus() {
   core::MetricsRegistry registry;
   double depth = 0.0;
@@ -359,7 +376,8 @@ std::vector<std::string> metrics_corpus() {
   core::apply_run_window(config, 30);
   config.metrics = &run;
   (void)core::run_experiment(config);
-  return {registry.to_json(), core::MetricsRegistry{}.to_json(), run.to_json()};
+  return {registry.to_json(), core::MetricsRegistry{}.to_json(), run.to_json(),
+          escaped_registry().to_json()};
 }
 
 std::string trace_document() {
@@ -373,6 +391,13 @@ std::string trace_document() {
   sink.async_begin(2, sim::seconds(0.1), 9, "txn", "txn", "\"nonce\":0");
   sink.async_end(2, sim::seconds(2.1), 9, "txn", "txn");
   sink.instant(core::kFaultsTrack, sim::seconds(1.0), "inject", "fault");
+  return core::trace_to_json(sink);
+}
+
+/// A trace whose event name needs escapes.
+std::string escaped_trace_document() {
+  sim::TraceSink sink;
+  sink.instant(0, sim::seconds(1.0), "event " + kEscaped, "chain");
   return core::trace_to_json(sink);
 }
 
@@ -438,7 +463,8 @@ TEST(ReaderMutation, MetricsMutantsRoundTripOrAreRejected) {
 
 TEST(ReaderMutation, TraceMutantsValidateOrAreRejected) {
   expect_mutants_round_trip_or_throw(
-      {trace_document()}, 0x7ace5ULL, [](const std::string& json) {
+      {trace_document(), escaped_trace_document()}, 0x7ace5ULL,
+      [](const std::string& json) {
         (void)core::validate_trace_json(json);
         return json;
       });
@@ -544,6 +570,64 @@ TEST(ReaderRegression, TraceArgsNestedDeeperThanTheStack) {
         "\"ph\":\"i\",\"ts\":1,\"pid\":0,\"tid\":0,\"args\":" +
         std::string(depth, '[') + std::string(depth, ']') + "}]}");
   });
+}
+
+// ------------------------------------------------------ string escapes
+
+TEST(ReaderEscapes, MetricNamesAndNotesReadBackToTheirBytes) {
+  const core::MetricsRegistry parsed =
+      core::metrics_from_json(escaped_registry().to_json());
+  ASSERT_EQ(parsed.series().size(), 1u);
+  EXPECT_EQ(parsed.series()[0].name, "series " + kEscaped);
+  ASSERT_EQ(parsed.histograms().size(), 1u);
+  EXPECT_EQ(parsed.histograms()[0].name, "histogram " + kEscaped);
+  ASSERT_EQ(parsed.notes().size(), 1u);
+  EXPECT_EQ(parsed.notes()[0], "note " + kEscaped);
+}
+
+TEST(ReaderEscapes, TraceEventNameReadsBackToItsBytes) {
+  const std::string json = escaped_trace_document();
+  EXPECT_EQ(core::validate_trace_json(json).instants, 1u);
+  const std::string key = "{\"name\":";
+  const std::size_t at = json.find(key + "\"event ");
+  ASSERT_NE(at, std::string::npos);
+  const std::string rest = json.substr(at + key.size());
+  core::JsonCursor cursor(rest);
+  EXPECT_EQ(cursor.parse_string(), "event " + kEscaped);
+}
+
+TEST(ReaderEscapes, ScenarioStringsReadBackToTheirBytes) {
+  core::ScenarioSpec spec;
+  spec.name = "name " + kEscaped;
+  // Flag text refuses quotes and backslashes but takes control bytes.
+  core::set_scenario_key(spec, "trace", "tab\t newline\n cr\r");
+  EXPECT_EQ(spec.trace, "tab\t newline\n cr\r");
+  const std::string json = core::scenario_to_json(spec);
+  EXPECT_EQ(core::scenario_from_json(json), spec);
+  EXPECT_EQ(core::scenario_to_json(core::scenario_from_json(json)), json);
+}
+
+TEST(ReaderEscapes, ControlBytesUseTheUnicodeForm) {
+  EXPECT_EQ(core::json_escape(std::string("a\rb\x01\x1f", 5)),
+            "a\\u000db\\u0001\\u001f");
+  const std::string json = "\"a\\u000db\\u0001\\u001f\"";
+  core::JsonCursor cursor(json);
+  EXPECT_EQ(cursor.parse_string(), std::string("a\rb\x01\x1f", 5));
+}
+
+TEST(ReaderEscapes, OnlyTheWriterSpellingIsAccepted) {
+  // Each has a different spelling from json_escape (or none at all), so
+  // accepting it would make a dump that does not read back to itself.
+  for (const char* body :
+       {"\\r", "\\/", "\\b", "\\u000A", "\\u000a", "\\u0009", "\\u0020",
+        "\\u00zz", "\\u001", "\\u", "\\", "\\x41", "\t"}) {
+    SCOPED_TRACE(body);
+    const std::string json = std::string("\"") + body + "\"";
+    expect_rejected([&] {
+      core::JsonCursor cursor(json);
+      (void)cursor.parse_string();
+    });
+  }
 }
 
 }  // namespace

@@ -99,6 +99,20 @@ TEST(Traffic, ValidationRejectsOutOfRangeKnobsWithTheFieldName) {
             std::string::npos);
 }
 
+// Each client allocates per-account arrays and its profile counts accounts
+// in 32 bits, so the population per client is bounded.
+TEST(Traffic, ValidationBoundsAccountsPerClient) {
+  TrafficSpec spec;
+  spec.accounts_per_client = kMaxAccountsPerClient;
+  EXPECT_EQ(validate_traffic(spec), "");
+  spec.accounts_per_client = kMaxAccountsPerClient + 1;
+  EXPECT_NE(validate_traffic(spec).find(
+                "\"traffic.accounts_per_client\" must be <= 1000000"),
+            std::string::npos);
+  spec.accounts_per_client = 9'000'000'000'000'000;
+  EXPECT_NE(validate_traffic(spec), "");
+}
+
 // ------------------------------------------------- population determinism
 
 TEST(Traffic, ClientPlansAreDeterministicAndDisjoint) {
@@ -306,6 +320,20 @@ TEST(Traffic, RegionSpreadRaisesObservedLatency) {
   EXPECT_GT(near.committed, 10000u);
   EXPECT_GT(spread.committed, 10000u);
   EXPECT_GT(spread.mean_latency_s, near.mean_latency_s + 0.1);
+}
+
+// The region loop stops at the client count: regions past it get no
+// clients, so a region count of 9e15 sets up as fast as one per client.
+TEST(Traffic, RegionCountBeyondTheClientsFinishes) {
+  ScenarioSpec spec;
+  spec.duration_s = 30;
+  spec.has_traffic = true;
+  spec.traffic.accounts_per_client = 2;
+  spec.traffic.regions = 9'000'000'000'000'000;
+  const ExperimentConfig config = resolve_scenario(spec).config;
+  EXPECT_EQ(config.traffic.regions, 9'000'000'000'000'000u);
+  const ExperimentResult result = run_experiment(config);
+  EXPECT_GT(result.committed, 0u);
 }
 
 }  // namespace
